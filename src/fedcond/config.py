@@ -90,16 +90,10 @@ class HeterogeneitySpec:
 @dataclass
 class StatsSpec:
     l: int = 32
-    extractor: str = "identity"
-    method: str = "dense"  # dense | iterative
 
     def validate(self):
         if self.l < 1:
             raise ConfigError("stats.l must be >= 1")
-        if self.extractor != "identity":
-            raise ConfigError("only the identity extractor is implemented")
-        if self.method not in ("dense", "iterative"):
-            raise ConfigError(f"unknown stats method {self.method!r}")
 
 
 @dataclass
@@ -121,6 +115,37 @@ class TrainingSpec:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
+def strategy_config(entry: dict, training: TrainingSpec):
+    """Per-strategy `StrategyConfig`: training-spec defaults plus overrides.
+
+    Every federated baseline defaults to `epochs` rounds of one local epoch,
+    so all methods see the same number of passes over local data; IFCA spends
+    the same budget as 5 refinement rounds. An unknown key, or a value that
+    `StrategyConfig` rejects, raises ConfigError.
+    """
+    from .federation import StrategyConfig
+    entry = dict(entry)
+    kind = entry.pop("kind", None)
+    bad = set(entry) - set(StrategyConfig.__dataclass_fields__)
+    if bad:
+        raise ConfigError(f"unknown {kind} strategy keys: {sorted(bad)}")
+    defaults = dict(
+        epochs=training.epochs,
+        rounds=training.epochs,
+        local_epochs_per_round=1,
+        lr_schedule=training.lr_schedule,
+    )
+    defaults.update(entry)
+    try:
+        cfg = StrategyConfig(kind=kind, **defaults)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"strategy {kind!r}: {exc}") from None
+    if kind == "ifca" and "local_epochs_per_round" not in entry:
+        cfg.local_epochs_per_round = max(1, round(training.epochs
+                                                  / cfg.ifca_refinement_rounds))
+    return cfg
+
+
 @dataclass
 class ExperimentConfig:
     name: str = "run"
@@ -133,17 +158,14 @@ class ExperimentConfig:
     strategies: list[dict] = field(default_factory=list)
 
     def validate(self):
-        from .federation import STRATEGY_KINDS
         if not self.strategies:
             raise ConfigError("strategy list is empty")
-        for s in self.strategies:
-            kind = s.get("kind")
-            if kind not in STRATEGY_KINDS:
-                raise ConfigError(f"unknown strategy kind {kind!r}")
         self.dataset.validate()
         self.heterogeneity.validate()
         self.stats.validate()
         self.training.validate()
+        for entry in self.strategies:
+            strategy_config(entry, self.training)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -91,28 +91,6 @@ class DatasetPair:
             raise ValueError("train/test input_shape disagree")
 
 
-@dataclass(frozen=True)
-class FeatureExtractor:
-    """Feature map applied to inputs before fingerprinting.
-
-    Only the identity extractor is implemented; the hook exists so a learned
-    encoder can slot in for high-dimensional inputs later.
-    """
-
-    kind: str = "identity"
-    output_dim: int = 0
-
-    def for_dataset(self, dataset: Dataset) -> "FeatureExtractor":
-        if self.kind != "identity":
-            raise NotImplementedError(f"extractor kind {self.kind!r}")
-        return FeatureExtractor("identity", dataset.X.shape[1])
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        if self.kind != "identity":
-            raise NotImplementedError(f"extractor kind {self.kind!r}")
-        return X
-
-
 # --------------------------------------------------------------------------
 # IDX ingestion
 # --------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, DatasetSpec, ExperimentConfig, SuiteConfig
-from .data import (Dataset, DatasetPair, FeatureExtractor, GaussianClusterSpec,
-                   glyph_pair, load_mnist_like, subsample_per_class, synth_clusters)
-from .federation import (OptimizerState, StrategyConfig, TrainedOutcome, child_seed,
-                         evaluate, run_strategy)
+from .config import (ConfigError, DatasetSpec, ExperimentConfig, SuiteConfig,
+                     strategy_config)
+from .data import (Dataset, DatasetPair, GaussianClusterSpec, glyph_pair,
+                   load_mnist_like, subsample_per_class, synth_clusters)
+from .federation import (OptimizerState, TrainedOutcome, child_seed, evaluate,
+                         run_strategy)
 from .heterogeneity import (ClientShard, class_blocks, paired_covariate_sets,
                             partition_combined, partition_concept_permutation,
                             partition_concept_semantic, partition_covariate_rotation,
@@ -140,29 +141,6 @@ def build_architectures(config: ExperimentConfig,
     return base, cond
 
 
-def strategy_config(entry: dict, training) -> StrategyConfig:
-    """Per-strategy config: training-spec defaults plus per-entry overrides.
-
-    Every federated baseline defaults to `epochs` rounds of one local epoch,
-    so all methods see the same number of passes over local data; IFCA spends
-    the same budget as 5 refinement rounds.
-    """
-    entry = dict(entry)
-    kind = entry.pop("kind")
-    defaults = dict(
-        epochs=training.epochs,
-        rounds=training.epochs,
-        local_epochs_per_round=1,
-        lr_schedule=training.lr_schedule,
-    )
-    if kind == "ifca":
-        refinement = int(entry.get("ifca_refinement_rounds", 5))
-        defaults["ifca_refinement_rounds"] = refinement
-        defaults["local_epochs_per_round"] = max(1, round(training.epochs / refinement))
-    defaults.update(entry)
-    return StrategyConfig(kind=kind, **defaults)
-
-
 # --------------------------------------------------------------------------
 # single run
 # --------------------------------------------------------------------------
@@ -180,11 +158,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             shards = build_partition(config, pair)
             base_arch, cond_arch = build_architectures(config, shards)
         with _stage("fingerprint"):
-            extractor = FeatureExtractor().for_dataset(shards[0].train)
-            fingerprints = fingerprint_all(shards, extractor,
-                                           shards[0].train.class_count,
-                                           l=config.stats.l,
-                                           method=config.stats.method)
+            fingerprints = fingerprint_all(shards, shards[0].train.class_count,
+                                           l=config.stats.l)
 
         out.mkdir(parents=True, exist_ok=True)
         log_path = out / "train_log.jsonl"
@@ -268,10 +243,8 @@ def fingerprint_only(config: ExperimentConfig, out_dir=None) -> Path:
     with _stage("partition"):
         shards = build_partition(config, pair)
     with _stage("fingerprint"):
-        extractor = FeatureExtractor().for_dataset(shards[0].train)
-        fingerprints = fingerprint_all(shards, extractor,
-                                       shards[0].train.class_count,
-                                       l=config.stats.l, method=config.stats.method)
+        fingerprints = fingerprint_all(shards, shards[0].train.class_count,
+                                       l=config.stats.l)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "fingerprints.json"
     doc = {

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -56,6 +57,15 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        for name in ("epochs", "rounds", "local_epochs_per_round",
+                     "ifca_refinement_rounds"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        pairs = self.gossip_pairs_per_round
+        if pairs is not None and (not isinstance(pairs, Integral) or pairs < 0):
+            raise ValueError(f"gossip_pairs_per_round must be null or an "
+                             f"integer >= 0, got {pairs!r}")
         if self.ditto_lambda < 0:
             raise ValueError("ditto_lambda must be >= 0")
         if self.dac_temperature <= 0:
@@ -192,8 +202,6 @@ def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
 def train_fedavg(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
                  cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
     """Server-side sample-weighted averaging of per-round local updates."""
-    if cfg.rounds < 1:
-        raise ValueError("fedavg needs rounds >= 1")
     global_params = init_params(arch, np.random.default_rng(seed))
     client_rngs = {s.client_id: np.random.default_rng(seed) for s in shards}
     weights = _train_weights(shards)

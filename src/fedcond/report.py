@@ -18,6 +18,7 @@ PROVENANCE = {
     "pixel_scaling": "x/255 into [0,1], no standardization",
     "pca_centering": "column mean",
     "pca_covariance_divisor": "n-1",
+    "pca_solver": "eigvalsh of the n×n Gram matrix when n<d, else of the d×d covariance",
     "eigenvalue_normalization": "per-coordinate z-score across the run's clients "
                                 "(population std; zero-spread coordinates -> 0)",
     "momentum_form": "classic heavy-ball",

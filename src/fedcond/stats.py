@@ -2,17 +2,20 @@
 
 A client's fingerprint is the vector of top-l eigenvalues of the sample
 covariance of its augmented feature-label matrix: each row concatenates the
-extracted features of one training sample with the one-hot encoding of its
-label. Columns are mean-centered and the covariance uses the unbiased n-1
-divisor; eigenvalues are reported in nonincreasing order, zero-padded to
-length l when the matrix rank falls short. Eigenvalues below the solver's
-accuracy (about d * eps * lambda_1 for a d-column matrix) are round-off, not
-spectrum, and are reported as exact zeros.
+raw features of one training sample with the one-hot encoding of its label.
+Columns are mean-centered and the covariance uses the unbiased n-1 divisor;
+eigenvalues are reported in nonincreasing order, zero-padded to length l when
+the matrix rank falls short. Eigenvalues below the solver's accuracy (about
+d * eps * lambda_1 for a d-column matrix) are round-off, not spectrum, and are
+reported as exact zeros.
 
-Two routes compute the spectrum: a dense symmetric eigendecomposition of the
-explicit covariance (reference), and blocked subspace iteration that only
-touches the data through matrix-vector products (fast path, linear in the
-number of samples). They agree to 1e-6 relative per retained eigenvalue.
+One exact solver computes the spectrum. For an n x d matrix with n < d (a
+sparse client: 50 samples against 794 columns) the covariance has rank at
+most n - 1, and its nonzero eigenvalues are those of the n x n Gram matrix
+Zc @ Zc.T / (n - 1) (the snapshot method, Turk & Pentland 1991). A dense
+symmetric eigendecomposition runs on the Gram matrix when n < d and on the
+d x d covariance otherwise, so it costs O(min(n, d)^2 * max(n, d)) to form and
+O(min(n, d)^3) to decompose.
 
 The model is not conditioned on these raw eigenvalues. Every client's
 eigenvalues sit on a large offset that all clients share, while what tells
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import FeatureExtractor
 from .heterogeneity import ClientShard
 
 DEFAULT_STATS_DIM = 32
@@ -40,20 +42,14 @@ def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
     return out
 
 
-def build_augmented(X: np.ndarray, y: np.ndarray, extractor: FeatureExtractor,
-                    class_count: int) -> np.ndarray:
-    """Rows [phi(x) || onehot(y)]; one row per training sample."""
+def build_augmented(X: np.ndarray, y: np.ndarray, class_count: int) -> np.ndarray:
+    """Rows [x || onehot(y)]; one row per training sample."""
     if X.shape[0] == 0:
         raise ValueError("cannot fingerprint an empty shard")
     y = np.asarray(y)
     if y.min() < 0 or y.max() >= class_count:
         raise ValueError(f"label outside [0, {class_count})")
-    feats = extractor.apply(X)
-    return np.hstack([feats, one_hot(y, class_count)])
-
-
-def _centered(Z: np.ndarray) -> np.ndarray:
-    return Z - Z.mean(axis=0, keepdims=True)
+    return np.hstack([X, one_hot(y, class_count)])
 
 
 def _noise_floor(Z: np.ndarray, top: float) -> float:
@@ -68,74 +64,30 @@ def _noise_floor(Z: np.ndarray, top: float) -> float:
     return max(n * (scale * eps) ** 2, d * eps * top)
 
 
-def pca_eigenvalues_dense(Z: np.ndarray, l: int) -> np.ndarray:
-    """Reference path: eigenvalues of the explicit d x d sample covariance."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    n, d = Z.shape
-    if n < 2:
-        return np.zeros(l)
-    Zc = _centered(Z)
-    cov = (Zc.T @ Zc) / (n - 1)
-    vals = np.linalg.eigvalsh(cov)[::-1]
-    vals[vals <= _noise_floor(Z, vals[0])] = 0.0
-    out = np.zeros(l)
-    out[:min(l, d)] = vals[:min(l, d)]
-    return out
+def pca_eigenvalues(Z: np.ndarray, l: int) -> np.ndarray:
+    """Top-l covariance eigenvalues, sorted descending, zero-padded to l.
 
-
-def pca_eigenvalues_iterative(Z: np.ndarray, l: int, max_iter: int = 500,
-                              tol: float = 1e-10, seed: int = 0) -> np.ndarray:
-    """Fast path: blocked subspace iteration with Rayleigh-Ritz extraction.
-
-    Never forms the covariance matrix; each sweep costs O(n*d*b) through the
-    products Zc.T @ (Zc @ Q). The block is oversampled beyond l to speed up
-    convergence of the trailing retained eigenvalues.
+    Zc.T @ Zc (d x d) and Zc @ Zc.T (n x n) share their nonzero spectrum, so
+    `eigvalsh` runs on the smaller one: the Gram matrix when n < d (the
+    snapshot method), the covariance otherwise.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     n, d = Z.shape
     if n < 2:
         return np.zeros(l)
-    Zc = _centered(Z)
-    k = min(l, d)
-    block = min(d, k + 8)
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((d, block)))
-    scale = 1.0 / (n - 1)
-
-    def apply_cov(V: np.ndarray) -> np.ndarray:
-        return (Zc.T @ (Zc @ V)) * scale
-
-    prev = None
-    for _ in range(max_iter):
-        Q, _ = np.linalg.qr(apply_cov(Q))
-        # Rayleigh-Ritz estimate on the current subspace
-        B = Q.T @ apply_cov(Q)
-        ritz = np.sort(np.linalg.eigvalsh((B + B.T) / 2.0))[::-1][:k]
-        if prev is not None:
-            denom = max(np.abs(ritz).max(), 1e-300)
-            if np.abs(ritz - prev).max() <= tol * denom:
-                break
-        prev = ritz
-    ritz = np.where(ritz <= _noise_floor(Z, ritz[0]), 0.0, ritz)
+    Zc = Z - Z.mean(axis=0, keepdims=True)
+    gram = (Zc @ Zc.T if n < d else Zc.T @ Zc) / (n - 1)
+    vals = np.linalg.eigvalsh(gram)[::-1]
+    vals[vals <= _noise_floor(Z, vals[0])] = 0.0
+    k = min(l, n, d)
     out = np.zeros(l)
-    out[:k] = ritz
+    out[:k] = vals[:k]
     return out
 
 
-def pca_eigenvalues(Z: np.ndarray, l: int, method: str = "dense") -> np.ndarray:
-    """Top-l covariance eigenvalues, sorted descending, zero-padded to l."""
-    if method == "dense":
-        return pca_eigenvalues_dense(Z, l)
-    if method == "iterative":
-        return pca_eigenvalues_iterative(Z, l)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def fingerprint_client(shard: ClientShard, extractor: FeatureExtractor,
-                       class_count: int, l: int = DEFAULT_STATS_DIM,
-                       method: str = "dense") -> np.ndarray:
+def fingerprint_client(shard: ClientShard, class_count: int,
+                       l: int = DEFAULT_STATS_DIM) -> np.ndarray:
     """Compute and attach a client's raw fingerprint from its training shard.
 
     Returns the client's local eigenvalues, unstandardized; `fingerprint_all`
@@ -143,23 +95,21 @@ def fingerprint_client(shard: ClientShard, extractor: FeatureExtractor,
     before training; the same vector is reused at inference, so no test-time
     label information enters the pipeline.
     """
-    Z = build_augmented(shard.train.X, shard.train.y, extractor, class_count)
-    stats = pca_eigenvalues(Z, l, method=method)
+    Z = build_augmented(shard.train.X, shard.train.y, class_count)
+    stats = pca_eigenvalues(Z, l)
     shard.stats = stats
     return stats
 
 
-def fingerprint_all(shards: list[ClientShard], extractor: FeatureExtractor,
-                    class_count: int, l: int = DEFAULT_STATS_DIM,
-                    method: str = "dense") -> np.ndarray:
+def fingerprint_all(shards: list[ClientShard], class_count: int,
+                    l: int = DEFAULT_STATS_DIM) -> np.ndarray:
     """Standardized fingerprints for every shard, stacked (n_clients, l).
 
     Each coordinate of the raw fingerprints is standardized across these
     clients, and row i is attached to shards[i] as its conditioning vector.
     These rows are what `report.json` and `fingerprints.json` record.
     """
-    raw = np.vstack([fingerprint_client(s, extractor, class_count, l, method=method)
-                     for s in shards])
+    raw = np.vstack([fingerprint_client(s, class_count, l) for s in shards])
     F = standardize_across_clients(raw)
     for shard, row in zip(shards, F):
         shard.stats = row

@@ -76,21 +76,34 @@ def announce(criterion, detail):
 
 # --------------------------------------------------------------- criterion 1
 
-def test_criterion_01_pca_iterative_matches_dense_oracle():
+def covariance_oracle_eigs(Z, l):
+    """Explicit d x d covariance through eigvalsh, with its own round-off
+    (below d * eps * lambda_1) zeroed."""
+    n, d = Z.shape
+    Zc = Z - Z.mean(axis=0)
+    vals = np.linalg.eigvalsh(Zc.T @ Zc / (n - 1))[::-1]
+    vals[vals <= d * np.finfo(np.float64).eps * vals[0]] = 0.0
+    out = np.zeros(l)
+    out[:min(l, d)] = vals[:min(l, d)]
+    return out
+
+
+def test_criterion_01_pca_matches_covariance_oracle():
     rng = np.random.default_rng(SEED)
     worst = 0.0
-    for _ in range(100):
+    for i in range(300):
         d = int(rng.integers(5, 51))
-        n = int(rng.integers(d + 1, 201))
+        # half the draws have n <= d, where the solver takes the Gram route
+        n = int(rng.integers(2, d + 1)) if i % 2 else int(rng.integers(d + 1, 201))
         Z = rng.normal(size=(n, d)) * rng.uniform(0.2, 4.0, size=d)
         l = int(rng.integers(1, min(d, 32) + 1))
-        dense = stats.pca_eigenvalues(Z, l, method="dense")
-        fast = stats.pca_eigenvalues(Z, l, method="iterative")
-        rel = np.abs(fast - dense) / np.maximum(dense, 1e-9 * max(dense.max(), 1.0))
+        oracle = covariance_oracle_eigs(Z, l)
+        mine = stats.pca_eigenvalues(Z, l)
+        rel = np.abs(mine - oracle) / np.maximum(oracle, 1e-9 * max(oracle.max(), 1.0))
         worst = max(worst, rel.max())
     assert worst <= 1e-6
     announce("criterion 1 (PCA oracle equivalence)",
-             f"100 matrices, worst rel err {worst:.2e} <= 1e-6")
+             f"300 matrices (150 with n <= d), worst rel err {worst:.2e} <= 1e-6")
 
 
 # --------------------------------------------------------------- criterion 2

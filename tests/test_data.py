@@ -188,13 +188,6 @@ def test_dataset_rejects_bad_labels():
         data.Dataset("bad", np.zeros((2, 4)), np.array([0, 5]), 2, (4,))
 
 
-def test_identity_extractor_dims():
-    ds = data.synth_glyphs(2, seed=0)
-    ext = data.FeatureExtractor().for_dataset(ds)
-    assert ext.output_dim == 784
-    assert np.array_equal(ext.apply(ds.X), ds.X)
-
-
 def test_sample_view():
     ds = data.synth_glyphs(1, seed=0)
     s = ds[3]

@@ -263,6 +263,30 @@ def test_cli_rejects_bad_config(tmp_path):
     assert "strategy list is empty" in r.stderr
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"strategies": [{"kind": "local", "epochs": 0}]}, "epochs must be"),
+    ({"strategies": [{"kind": "ifca", "ifca_refinement_rounds": 0}]},
+     "ifca_refinement_rounds must be"),
+    ({"strategies": [{"kind": "fedavg", "bogus": 1}]},
+     "unknown fedavg strategy keys: ['bogus']"),
+    ({"strategies": [{"kind": "ditto", "local_epochs_per_round": 0}]},
+     "local_epochs_per_round must be"),
+    ({"stats": {"method": "dense"}}, "unknown StatsSpec keys: ['method']"),
+    ({"stats": {"extractor": "identity"}}, "unknown StatsSpec keys: ['extractor']"),
+], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
+        "ditto-local-epochs-0", "stats-method", "stats-extractor"])
+def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
+    doc = json.loads(json.dumps(TINY))
+    doc.update(override)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    r = run_cli("run", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 def test_cli_suite_exit_code_reflects_failures(tmp_path):
     doc = suite_doc({"heterogeneity.K": [2, 11]})
     path = tmp_path / "suite.json"

@@ -6,8 +6,8 @@ import pytest
 
 from fedcond import federation as fed
 from fedcond import nn
-from fedcond.data import (Dataset, DatasetPair, FeatureExtractor,
-                          GaussianClusterSpec, synth_clusters, synth_glyphs)
+from fedcond.data import (Dataset, DatasetPair, GaussianClusterSpec, synth_clusters,
+                          synth_glyphs)
 from fedcond.heterogeneity import ClientShard, partition_domain_shift, partition_label_shift
 from fedcond.metrics import compute_ari
 from fedcond.stats import fingerprint_all
@@ -260,8 +260,7 @@ def test_conditional_requires_fingerprints():
 
 def test_conditional_beats_fedavg_on_synthetic_concept_shift():
     shards = gaussian_shards(n_clients=6, n_per=300, concept_shift=True, seed=8)
-    ext = FeatureExtractor("identity", 2)
-    fingerprint_all(shards, ext, 2, l=4)
+    fingerprint_all(shards, 2, l=4)
     cond_arch = nn.mlp_architecture(2, 2, hidden_dim=32, stats_dim=4)
     base_arch = arch_for(shards)
     cond = fed.train_conditional(shards, cond_arch, opt(),
@@ -277,8 +276,7 @@ def test_conditional_beats_fedavg_on_synthetic_concept_shift():
 
 def test_conditional_single_client_is_centralized_with_constant_stats():
     shards = gaussian_shards()[:1]
-    ext = FeatureExtractor("identity", 2)
-    fingerprint_all(shards, ext, 2, l=4)
+    fingerprint_all(shards, 2, l=4)
     arch = arch_for(shards, stats_dim=4)
     out = fed.train_conditional(shards, arch, opt(),
                                 fed.StrategyConfig("conditional", epochs=5), SEED)

@@ -1,5 +1,6 @@
 """Fingerprint tests: augmented matrix construction and PCA eigenvalue
-properties, with the dense eigendecomposition as the reference oracle."""
+properties, with explicit covariance and Gram eigendecompositions as the
+reference oracles."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcond import stats
-from fedcond.data import (DatasetPair, FeatureExtractor, GaussianClusterSpec,
-                          synth_clusters, synth_glyphs)
+from fedcond.data import (DatasetPair, GaussianClusterSpec, synth_clusters,
+                          synth_glyphs)
 from fedcond.heterogeneity import partition_label_shift
 
 
@@ -24,25 +25,40 @@ def explicit_cov_eigs(Z, l):
     return out
 
 
+def explicit_gram_eigs(Z, l):
+    """Independent oracle: n x n Gram matrix of the centered rows."""
+    n, d = Z.shape
+    Zc = Z - Z.mean(axis=0)
+    vals = np.sort(np.linalg.eigvalsh(Zc @ Zc.T / (n - 1)))[::-1]
+    out = np.zeros(l)
+    k = min(l, n, d)
+    out[:k] = np.clip(vals[:k], 0, None)
+    return out
+
+
 # ------------------------------------------------------------------ augmented
 
 def test_augmented_row_layout_single_sample():
-    ext = FeatureExtractor("identity", 2)
-    Z = stats.build_augmented(np.array([[0.3, 0.7]]), np.array([1]), ext, 2)
+    Z = stats.build_augmented(np.array([[0.3, 0.7]]), np.array([1]), 2)
     assert Z.tolist() == [[0.3, 0.7, 0.0, 1.0]]
 
 
 def test_augmented_width_is_feature_dim_plus_classes():
     ds = synth_glyphs(2, seed=0)
-    ext = FeatureExtractor().for_dataset(ds)
-    Z = stats.build_augmented(ds.X, ds.y, ext, 10)
+    Z = stats.build_augmented(ds.X, ds.y, 10)
     assert Z.shape == (len(ds), 784 + 10)
+
+
+def test_augmented_feature_block_is_the_raw_input():
+    ds = synth_glyphs(2, seed=0)
+    Z = stats.build_augmented(ds.X, ds.y, 10)
+    assert np.array_equal(Z[:, :784], ds.X)
 
 
 def test_augmented_single_class_block_is_constant_column():
     X = np.random.default_rng(0).random((6, 3))
     y = np.full(6, 2)
-    Z = stats.build_augmented(X, y, FeatureExtractor("identity", 3), 4)
+    Z = stats.build_augmented(X, y, 4)
     label_block = Z[:, 3:]
     assert np.array_equal(label_block[:, 2], np.ones(6))
     assert label_block[:, [0, 1, 3]].sum() == 0.0
@@ -50,8 +66,7 @@ def test_augmented_single_class_block_is_constant_column():
 
 def test_augmented_rejects_empty_shard():
     with pytest.raises(ValueError, match="empty"):
-        stats.build_augmented(np.zeros((0, 3)), np.array([], dtype=int),
-                              FeatureExtractor("identity", 3), 2)
+        stats.build_augmented(np.zeros((0, 3)), np.array([], dtype=int), 2)
 
 
 # ---------------------------------------------------------------- eigenvalues
@@ -87,16 +102,15 @@ def test_single_row_yields_zero_vector():
     assert stats.pca_eigenvalues(np.array([[1.0, 2.0]]), 3).tolist() == [0.0] * 3
 
 
-@pytest.mark.parametrize("method", ["dense", "iterative"])
-def test_rank_deficient_one_hot_block_gives_exact_zero(method):
+def test_rank_deficient_one_hot_block_gives_exact_zero():
     # two features plus a two-class one-hot block: the one-hot columns sum
     # to 1, so the centered 4-column matrix has rank 3. This is a client of
     # the concept-shift fixture in test_federation; unfloored, the dense
     # solver returns its trailing eigenvalue as round-off near 1e-18
     spec = GaussianClusterSpec((0.0, 0.0), 0.30, lambda x: int(x[0] <= 0.5))
     ds, _ = synth_clusters([spec], 300, 8 * 997 + 31, class_count=2)
-    Z = stats.build_augmented(ds.X, ds.y, FeatureExtractor("identity", 2), 2)
-    eigs = stats.pca_eigenvalues(Z, 4, method=method)
+    Z = stats.build_augmented(ds.X, ds.y, 2)
+    eigs = stats.pca_eigenvalues(Z, 4)
     assert eigs[3] == 0.0
     assert eigs[2] > 1e-3
 
@@ -104,23 +118,41 @@ def test_rank_deficient_one_hot_block_gives_exact_zero(method):
 def test_dense_matches_explicit_covariance_oracle():
     rng = np.random.default_rng(42)
     Z = rng.normal(size=(50, 20))
-    mine = stats.pca_eigenvalues(Z, 8, method="dense")
+    mine = stats.pca_eigenvalues(Z, 8)
     oracle = explicit_cov_eigs(Z, 8)
     assert np.allclose(mine, oracle, rtol=1e-12, atol=1e-12)
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=20, deadline=None)
-def test_iterative_matches_dense(seed):
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(["n<d", "n=d", "n>d"]))
+@settings(max_examples=30, deadline=None)
+def test_gram_and_covariance_spectra_agree(seed, shape):
+    # the solver decomposes whichever of the two matrices is smaller; both
+    # oracles must agree with it on every retained eigenvalue, up to the
+    # round-off the solver reports as exact zeros
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(12, 120))
-    d = int(rng.integers(3, 40))
+    d = int(rng.integers(3, 60))
+    n = {"n<d": int(rng.integers(2, d)), "n=d": d,
+         "n>d": int(rng.integers(d + 1, 3 * d))}[shape]
     Z = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
-    l = int(rng.integers(1, min(d, 12) + 1))
-    dense = stats.pca_eigenvalues(Z, l, method="dense")
-    fast = stats.pca_eigenvalues(Z, l, method="iterative")
-    scale = max(dense.max(), 1e-12)
-    assert np.all(np.abs(fast - dense) <= 1e-6 * np.maximum(dense, 1e-6 * scale))
+    l = int(rng.integers(1, d + 5))
+    mine = stats.pca_eigenvalues(Z, l)
+    floor = d * np.finfo(np.float64).eps * mine[0]
+    for oracle in (explicit_cov_eigs(Z, l), explicit_gram_eigs(Z, l)):
+        assert np.allclose(mine, oracle, rtol=1e-10, atol=floor)
+
+
+def test_sparse_client_rank_is_samples_minus_one():
+    # a SuperSparse-sized client: 50 glyph rows against 784 + 10 columns has
+    # centered rank 49, so 49 eigenvalues are nonzero and the rest are exact
+    # zeros
+    ds = synth_glyphs(5, seed=0)
+    Z = stats.build_augmented(ds.X, ds.y, 10)
+    assert Z.shape == (50, 794)
+    eigs = stats.pca_eigenvalues(Z, 64)
+    assert eigs.shape == (64,)
+    assert np.all(eigs[:49] > 0.0)
+    assert np.array_equal(eigs[49:], np.zeros(15))
 
 
 def test_trace_identity():
@@ -189,29 +221,26 @@ def glyph_shards(per_class=40):
 
 def test_fingerprint_attached_and_deterministic():
     shards = glyph_shards()
-    ext = FeatureExtractor().for_dataset(shards[0].train)
-    a = stats.fingerprint_client(shards[0], ext, 10, l=16)
+    a = stats.fingerprint_client(shards[0], 10, l=16)
     assert shards[0].stats is a
     b = stats.pca_eigenvalues(
-        stats.build_augmented(shards[0].train.X, shards[0].train.y, ext, 10), 16)
+        stats.build_augmented(shards[0].train.X, shards[0].train.y, 10), 16)
     assert np.array_equal(a, b)
 
 
 def test_identical_shards_identical_fingerprints():
     shards = glyph_shards()
-    ext = FeatureExtractor().for_dataset(shards[0].train)
-    a = stats.fingerprint_client(shards[0], ext, 10, l=16)
+    a = stats.fingerprint_client(shards[0], 10, l=16)
     clone = type(shards[0])(client_id=99, cluster_id=0,
                             train=shards[0].train, test=shards[0].test)
-    b = stats.fingerprint_client(clone, ext, 10, l=16)
+    b = stats.fingerprint_client(clone, 10, l=16)
     assert np.array_equal(a, b)
 
 
 def test_label_shift_fingerprints_separate_clusters():
     # needs a few hundred samples per client before jitter stops dominating
     shards = glyph_shards(per_class=200)
-    ext = FeatureExtractor().for_dataset(shards[0].train)
-    F = stats.fingerprint_all(shards, ext, 10, l=16)
+    F = stats.fingerprint_all(shards, 10, l=16)
     cl = np.array([s.cluster_id for s in shards])
     D = np.linalg.norm(F[:, None, :] - F[None, :, :], axis=-1)
     within = max(D[i, j] for i in range(6) for j in range(6)
@@ -223,10 +252,9 @@ def test_label_shift_fingerprints_separate_clusters():
 
 def test_fingerprint_all_standardizes_across_clients():
     shards = glyph_shards()
-    ext = FeatureExtractor().for_dataset(shards[0].train)
-    F = stats.fingerprint_all(shards, ext, 10, l=8)
+    F = stats.fingerprint_all(shards, 10, l=8)
     assert all(np.array_equal(s.stats, row) for s, row in zip(shards, F))
-    raw = np.vstack([stats.fingerprint_client(s, ext, 10, l=8) for s in shards])
+    raw = np.vstack([stats.fingerprint_client(s, 10, l=8) for s in shards])
     assert np.allclose(F, (raw - raw.mean(axis=0)) / raw.std(axis=0))
     assert np.allclose(F.mean(axis=0), 0.0) and np.allclose(F.std(axis=0), 1.0)
 
@@ -235,10 +263,9 @@ def test_zero_spread_coordinates_map_to_zero():
     # a single client has no spread at all; zero padding beyond the rank
     # (l > d here) gives columns that are 0 on every client
     shards = glyph_shards()
-    ext = FeatureExtractor("identity", 784)
-    one = stats.fingerprint_all(shards[:1], ext, 10, l=4)
+    one = stats.fingerprint_all(shards[:1], 10, l=4)
     assert one.tolist() == [[0.0] * 4]
-    F = stats.fingerprint_all(shards, ext, 10, l=800)
+    F = stats.fingerprint_all(shards, 10, l=800)
     assert np.all(np.isfinite(F))
     assert np.array_equal(F[:, 794:], np.zeros((len(shards), 6)))
     assert np.all(F[:, 0] != 0.0)
@@ -247,10 +274,3 @@ def test_zero_spread_coordinates_map_to_zero():
     raw = np.tile([13.3, 0.1, 0.0], (6, 1))
     assert stats.standardize_across_clients(raw).tolist() == [[0.0] * 3] * 6
 
-
-def test_iterative_fingerprint_path_smoke():
-    shards = glyph_shards()
-    ext = FeatureExtractor().for_dataset(shards[0].train)
-    dense = stats.fingerprint_client(shards[0], ext, 10, l=8, method="dense")
-    fast = stats.fingerprint_client(shards[0], ext, 10, l=8, method="iterative")
-    assert np.all(np.abs(fast - dense) <= 1e-6 * np.maximum(dense, 1e-9))
