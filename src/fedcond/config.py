@@ -9,8 +9,10 @@ dict).
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 DATA_ROOT_ENV = "FEDCOND_DATA_ROOT"
@@ -21,6 +23,33 @@ FAMILIES = ("E1", "E2a", "E2b", "E3a", "E3b", "E4a", "E4b")
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
+
+
+# declared scalar type -> (accepts, description); bools are not numbers here
+_SCALAR_TYPES = {
+    "int": (lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+            "an integer"),
+    "float": (lambda v: isinstance(v, Real) and not isinstance(v, bool)
+              and math.isfinite(v), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_field_types(obj, where: str = "") -> None:
+    """Raise ConfigError for a scalar dataclass field whose value does not
+    have its declared type (`int`, `float`, `bool` or `str`, optionally
+    `| None`; annotations are strings under `from __future__ import
+    annotations`). Other fields are left to the owner's checks."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        optional = f.type.endswith(" | None")
+        accepts, description = _SCALAR_TYPES.get(f.type.removesuffix(" | None"),
+                                                 (None, None))
+        if accepts is None or (optional and value is None) or accepts(value):
+            continue
+        raise ConfigError(f"{where}{f.name} must be {description}"
+                          f"{' or null' if optional else ''}, got {value!r}")
 
 
 @dataclass
@@ -109,8 +138,12 @@ class TrainingSpec:
     def validate(self):
         if self.architecture not in ("mlp", "mnist_cnn"):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 1:
+            raise ConfigError("epochs, batch_size and hidden_dim must be >= 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("training.learning_rate must be > 0")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("training.momentum must be in [0, 1)")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
 
@@ -158,6 +191,13 @@ class ExperimentConfig:
     strategies: list[dict] = field(default_factory=list)
 
     def validate(self):
+        check_field_types(self)
+        sections = {"dataset": self.dataset, "heterogeneity": self.heterogeneity,
+                    "heterogeneity.dataset_b": self.heterogeneity.dataset_b,
+                    "stats": self.stats, "training": self.training}
+        for where, spec in sections.items():
+            if spec is not None:
+                check_field_types(spec, f"{where}.")
         if not self.strategies:
             raise ConfigError("strategy list is empty")
         self.dataset.validate()
@@ -172,7 +212,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
+        if not isinstance(doc, dict):
+            raise ConfigError("a config must be a JSON object")
         known = {"name", "seed", "out_dir", "dataset", "heterogeneity",
                  "stats", "training", "strategies"}
         unknown = set(doc) - known
@@ -180,26 +221,29 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
         def build(klass, sub):
-            sub = dict(sub or {})
+            sub = {} if sub is None else sub
+            if not isinstance(sub, dict):
+                raise ConfigError(f"{klass.__name__} must be an object, got {sub!r}")
             names = {f for f in klass.__dataclass_fields__}
             bad = set(sub) - names
             if bad:
                 raise ConfigError(f"unknown {klass.__name__} keys: {sorted(bad)}")
             return klass(**sub)
 
-        het_doc = dict(doc.get("heterogeneity") or {})
-        dataset_b = het_doc.pop("dataset_b", None)
-        het = build(HeterogeneitySpec, het_doc)
-        if dataset_b is not None:
-            het.dataset_b = build(DatasetSpec, dataset_b)
+        het = build(HeterogeneitySpec, doc.get("heterogeneity"))
+        if het.dataset_b is not None:
+            het.dataset_b = build(DatasetSpec, het.dataset_b)
 
-        strategies = []
-        for s in doc.get("strategies", []):
-            strategies.append({"kind": s} if isinstance(s, str) else dict(s))
+        entries = doc.get("strategies", [])
+        if not (isinstance(entries, list)
+                and all(isinstance(s, (str, dict)) for s in entries)):
+            raise ConfigError(f"strategies must be a list of kind names or "
+                              f"objects, got {entries!r}")
+        strategies = [{"kind": s} if isinstance(s, str) else dict(s) for s in entries]
 
         cfg = cls(
             name=doc.get("name", "run"),
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
             out_dir=doc.get("out_dir"),
             dataset=build(DatasetSpec, doc.get("dataset")),
             heterogeneity=het,

@@ -1,6 +1,7 @@
-"""Training strategies over the shared engine: pooled conditional training
-plus the Local, FedAvg, Gossip, Oracle, IFCA, DAC and Ditto baselines, and
-per-client evaluation.
+"""Training strategies and per-client evaluation. Conditional and Oracle
+train pooled data with `train_pooled`; Local, FedAvg, Gossip, IFCA, DAC and
+Ditto share one round loop, `_run_rounds` (local passes, then a mix that only
+the strategy defines).
 
 Seeding conventions (all deliberate, so the degeneracy identities hold
 bit-exactly): every strategy initializes parameters from the run seed, and
@@ -13,14 +14,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
+from .config import check_field_types
 from .heterogeneity import ClientShard
 from .nn import (Architecture, ModelParams, OptimizerState, average_params,
-                 forward, init_params, loss_and_grad, mean_cross_entropy,
-                 sgd_step, train_sgd)
+                 forward, init_params, mean_cross_entropy, train_sgd)
 
 log = logging.getLogger(__name__)
 
@@ -57,13 +57,14 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        check_field_types(self)
         for name in ("epochs", "rounds", "local_epochs_per_round",
                      "ifca_refinement_rounds"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
+            if value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         pairs = self.gossip_pairs_per_round
-        if pairs is not None and (not isinstance(pairs, Integral) or pairs < 0):
+        if pairs is not None and pairs < 0:
             raise ValueError(f"gossip_pairs_per_round must be null or an "
                              f"integer >= 0, got {pairs!r}")
         if self.ditto_lambda < 0:
@@ -117,15 +118,6 @@ def mean_shard_loss(params: ModelParams, arch: Architecture, shard: ClientShard,
     return mean_cross_entropy(np.atleast_2d(logits), shard.train.y)
 
 
-def _local_pass(params: ModelParams, arch: Architecture, shard: ClientShard,
-                opt: OptimizerState, epochs: int, rng: np.random.Generator):
-    return train_sgd(params, arch, shard.train.X, shard.train.y, opt, epochs, rng)
-
-
-def _train_weights(shards: list[ClientShard]) -> list[int]:
-    return [len(s.train) for s in shards]
-
-
 def train_pooled(X: np.ndarray, y: np.ndarray, arch: Architecture,
                  opt: OptimizerState, epochs: int, seed: int,
                  stats_rows: np.ndarray | None = None,
@@ -144,6 +136,52 @@ def train_pooled(X: np.ndarray, y: np.ndarray, arch: Architecture,
         _emit(log_sink, records, {"round": epoch, "strategy": tag,
                                   "mean_train_loss": losses[0]})
     return params, records
+
+
+def _by_client(shards: list[ClientShard], values: list) -> dict:
+    return {s.client_id: v for s, v in zip(shards, values)}
+
+
+def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
+                cfg: StrategyConfig, seed: int, mix, log_sink, *,
+                starts: list[ModelParams] | None = None, rounds: int | None = None,
+                epochs_per_round: int | None = None, keep_momentum: bool = False,
+                round_loss=lambda losses: float(np.mean(losses))
+                ) -> tuple[list[ModelParams], list[dict]]:
+    """The round loop of the federated baselines: local passes, then a mix.
+
+    Each round every client runs `epochs_per_round` passes of `train_sgd`
+    (default `cfg.local_epochs_per_round`) from its start parameters (default
+    the seeded init for all), drawing batches from its own generator seeded
+    with the run seed. Momentum resets with each broadcast unless
+    `keep_momentum`. `mix(trained, lr)` turns the clients' trained models
+    into the next round's starts; `round_loss` of the clients' mean training
+    losses is logged. Runs `rounds` rounds (default `cfg.rounds`) and
+    returns the last mix's output and the log records.
+    """
+    rounds = rounds or cfg.rounds
+    epochs_per_round = epochs_per_round or cfg.local_epochs_per_round
+    if starts is None:
+        starts = [init_params(arch, np.random.default_rng(seed))] * len(shards)
+    rngs = [np.random.default_rng(seed) for _ in shards]
+    states = [opt.clone_config() for _ in shards]
+    records: list[dict] = []
+    for rnd in range(rounds):
+        lr = lr_at(opt.learning_rate, rnd, rounds, cfg.lr_schedule)
+        trained, losses = [], []
+        for i, shard in enumerate(shards):
+            state = states[i] if keep_momentum else opt.clone_config()
+            state.learning_rate = lr
+            params, epoch_losses = train_sgd(starts[i], arch, shard.train.X,
+                                             shard.train.y, state,
+                                             epochs_per_round, rngs[i])
+            trained.append(params)
+            losses.append(np.mean(epoch_losses))
+        loss = round_loss(losses)
+        starts = mix(trained, lr)
+        _emit(log_sink, records, {"round": rnd, "strategy": cfg.kind,
+                                  "mean_train_loss": loss})
+    return starts, records
 
 
 # --------------------------------------------------------------------------
@@ -181,48 +219,24 @@ def train_conditional(shards: list[ClientShard], arch: Architecture,
 
 def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
                 cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
-    """Each client trains independently on its own shard."""
-    records: list[dict] = []
-    client_params = {}
-    for shard in shards:
-        params = init_params(arch, np.random.default_rng(seed))
-        state = opt.clone_config()
-        rng = np.random.default_rng(seed)
-        for epoch in range(cfg.epochs):
-            state.learning_rate = lr_at(opt.learning_rate, epoch, cfg.epochs,
-                                        cfg.lr_schedule)
-            params, losses = _local_pass(params, arch, shard, state, 1, rng)
-        client_params[shard.client_id] = params
-        _emit(log_sink, records, {"round": cfg.epochs - 1, "strategy": "local",
-                                  "mean_train_loss": losses[-1],
-                                  "client_id": shard.client_id})
-    return TrainedOutcome("local", arch, client_params, log=records)
+    """Each client trains independently on its own shard: `epochs` rounds of
+    one pass, mixed with the identity."""
+    params, records = _run_rounds(shards, arch, opt, cfg, seed,
+                                  lambda trained, lr: trained, log_sink,
+                                  rounds=cfg.epochs, epochs_per_round=1,
+                                  keep_momentum=True)
+    return TrainedOutcome("local", arch, _by_client(shards, params), log=records)
 
 
 def train_fedavg(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
                  cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
     """Server-side sample-weighted averaging of per-round local updates."""
-    global_params = init_params(arch, np.random.default_rng(seed))
-    client_rngs = {s.client_id: np.random.default_rng(seed) for s in shards}
-    weights = _train_weights(shards)
-    records: list[dict] = []
-    for rnd in range(cfg.rounds):
-        round_lr = lr_at(opt.learning_rate, rnd, cfg.rounds, cfg.lr_schedule)
-        locals_, round_losses = [], []
-        for shard in shards:
-            state = opt.clone_config()  # momentum resets with each broadcast
-            state.learning_rate = round_lr
-            p, losses = _local_pass(global_params, arch, shard, state,
-                                    cfg.local_epochs_per_round,
-                                    client_rngs[shard.client_id])
-            locals_.append(p)
-            round_losses.append(np.mean(losses))
-        global_params = average_params(locals_, weights)
-        _emit(log_sink, records, {
-            "round": rnd, "strategy": "fedavg",
-            "mean_train_loss": float(np.average(round_losses, weights=weights))})
-    return TrainedOutcome("fedavg", arch,
-                          {s.client_id: global_params for s in shards}, log=records)
+    weights = [len(s.train) for s in shards]
+    params, records = _run_rounds(
+        shards, arch, opt, cfg, seed,
+        lambda trained, lr: [average_params(trained, weights)] * len(trained),
+        log_sink, round_loss=lambda losses: float(np.average(losses, weights=weights)))
+    return TrainedOutcome("fedavg", arch, _by_client(shards, params), log=records)
 
 
 def _random_matching(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -237,33 +251,20 @@ def train_gossip(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
     and matched pairs adopt their unweighted mean."""
     if len(shards) < 2:
         raise ValueError("gossip needs at least 2 clients")
-    init = init_params(arch, np.random.default_rng(seed))
-    params = {s.client_id: init for s in shards}
-    states = {s.client_id: opt.clone_config() for s in shards}
-    rngs = {s.client_id: np.random.default_rng(seed) for s in shards}
     match_rng = np.random.default_rng(child_seed(seed, 0x6055))
-    ids = [s.client_id for s in shards]
-    records: list[dict] = []
-    for rnd in range(cfg.rounds):
-        round_lr = lr_at(opt.learning_rate, rnd, cfg.rounds, cfg.lr_schedule)
-        round_losses = []
-        for shard in shards:
-            cid = shard.client_id
-            states[cid].learning_rate = round_lr
-            params[cid], losses = _local_pass(params[cid], arch, shard, states[cid],
-                                              cfg.local_epochs_per_round, rngs[cid])
-            round_losses.append(np.mean(losses))
-        pairs = _random_matching(len(ids), match_rng)
+
+    def mix(trained, lr):
+        mixed = list(trained)
+        pairs = _random_matching(len(trained), match_rng)
         if cfg.gossip_pairs_per_round is not None:
             pairs = pairs[:cfg.gossip_pairs_per_round]
         for a, b in pairs:
-            ca, cb = ids[a], ids[b]
-            mixed = average_params([params[ca], params[cb]], [1.0, 1.0])
-            params[ca] = mixed
-            params[cb] = mixed
-        _emit(log_sink, records, {"round": rnd, "strategy": "gossip",
-                                  "mean_train_loss": float(np.mean(round_losses))})
-    return TrainedOutcome("gossip", arch, params, log=records)
+            mixed[a] = mixed[b] = average_params([trained[a], trained[b]], [1.0, 1.0])
+        return mixed
+
+    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink,
+                                  keep_momentum=True)
+    return TrainedOutcome("gossip", arch, _by_client(shards, params), log=records)
 
 
 def train_oracle(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
@@ -313,43 +314,34 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
             jittered = {k: v + 0.05 * v.std() * rng.standard_normal(v.shape)
                         for k, v in base.values.items()}
             models.append(ModelParams(base.architecture_id, jittered))
-    client_rngs = {s.client_id: np.random.default_rng(seed) for s in shards}
-    records: list[dict] = []
+    weights = [len(s.train) for s in shards]
+    assign: list[int] = []
 
-    def e_step() -> dict[int, int]:
-        out = {}
-        for s in shards:
-            losses = [mean_shard_loss(m, arch, s) for m in models]
-            out[s.client_id] = int(np.argmin(losses))
-        return out
+    def reassign():
+        assign[:] = [int(np.argmin([mean_shard_loss(m, arch, s) for m in models]))
+                     for s in shards]
+        return [models[h] for h in assign]
 
-    for rnd in range(cfg.ifca_refinement_rounds):
-        round_lr = lr_at(opt.learning_rate, rnd, cfg.ifca_refinement_rounds,
-                         cfg.lr_schedule)
-        assign = e_step()
-        round_losses = []
+    def mix(trained, lr):
         for h in range(K):
-            members = [s for s in shards if assign[s.client_id] == h]
-            if not members:
-                continue
-            locals_, weights = [], []
-            for shard in members:
-                state = opt.clone_config()
-                state.learning_rate = round_lr
-                p, losses = _local_pass(models[h], arch, shard, state,
-                                        cfg.local_epochs_per_round,
-                                        client_rngs[shard.client_id])
-                locals_.append(p)
-                weights.append(len(shard.train))
-                round_losses.append(np.mean(losses))
-            models[h] = average_params(locals_, weights)
-        _emit(log_sink, records, {"round": rnd, "strategy": "ifca",
-                                  "mean_train_loss": float(np.mean(round_losses))})
-    final_assign = e_step()
-    return TrainedOutcome(
-        "ifca", arch,
-        {s.client_id: models[final_assign[s.client_id]] for s in shards},
-        assignments=final_assign, log=records)
+            members = [i for i, a in enumerate(assign) if a == h]
+            if members:
+                models[h] = average_params([trained[i] for i in members],
+                                           [weights[i] for i in members])
+        return reassign()
+
+    # grouped by hypothesis: the float mean depends on summation order, and
+    # the logged losses keep the order IFCA trains its members in
+    def round_loss(losses):
+        return float(np.mean([losses[i] for i in
+                              sorted(range(len(losses)), key=assign.__getitem__)]))
+
+    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink,
+                                  starts=reassign(),
+                                  rounds=cfg.ifca_refinement_rounds,
+                                  round_loss=round_loss)
+    return TrainedOutcome("ifca", arch, _by_client(shards, params),
+                          assignments=_by_client(shards, assign), log=records)
 
 
 def _cosine_weight_matrix(flat: np.ndarray, tau: float) -> np.ndarray:
@@ -368,7 +360,7 @@ def _cosine_weight_matrix(flat: np.ndarray, tau: float) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _affinity_clusters(weights: np.ndarray) -> dict[int, int]:
+def _affinity_clusters(weights: np.ndarray) -> list[int]:
     """Hard grouping from a soft affinity matrix: link mutually above-uniform
     pairs, then take connected components."""
     n = weights.shape[0]
@@ -388,7 +380,7 @@ def _affinity_clusters(weights: np.ndarray) -> dict[int, int]:
                     labels[v] = current
                     stack.append(v)
         current += 1
-    return {i: labels[i] for i in range(n)}
+    return labels
 
 
 def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
@@ -398,53 +390,21 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
     cos(theta_i, theta_j) / tau (self included, full topology)."""
     if len(shards) < 2:
         raise ValueError("dac needs at least 2 clients")
-    init = init_params(arch, np.random.default_rng(seed))
-    ids = [s.client_id for s in shards]
-    params = {cid: init for cid in ids}
-    states = {cid: opt.clone_config() for cid in ids}
-    rngs = {cid: np.random.default_rng(seed) for cid in ids}
-    records: list[dict] = []
-    weights_matrix = np.full((len(ids), len(ids)), 1.0 / len(ids))
-    for rnd in range(cfg.rounds):
-        round_lr = lr_at(opt.learning_rate, rnd, cfg.rounds, cfg.lr_schedule)
-        round_losses = []
-        for shard in shards:
-            cid = shard.client_id
-            states[cid].learning_rate = round_lr
-            params[cid], losses = _local_pass(params[cid], arch, shard, states[cid],
-                                              cfg.local_epochs_per_round, rngs[cid])
-            round_losses.append(np.mean(losses))
-        flat = np.stack([params[cid].flatten() for cid in ids])
+    weights_matrix = None
+
+    def mix(trained, lr):
+        nonlocal weights_matrix
+        flat = np.stack([p.flatten() for p in trained])
         weights_matrix = _cosine_weight_matrix(flat, cfg.dac_temperature)
         # offset form: exactly the identity when all peers coincide
         mixed_flat = flat[:1] + weights_matrix @ (flat - flat[:1])
-        params = {cid: params[cid].from_flat(mixed_flat[i])
-                  for i, cid in enumerate(ids)}
-        _emit(log_sink, records, {"round": rnd, "strategy": "dac",
-                                  "mean_train_loss": float(np.mean(round_losses))})
-    assignments = {ids[i]: c for i, c in _affinity_clusters(weights_matrix).items()}
-    return TrainedOutcome("dac", arch, params, assignments=assignments, log=records)
+        return [p.from_flat(row) for p, row in zip(trained, mixed_flat)]
 
-
-def _proximal_epoch(params: ModelParams, target: ModelParams, arch: Architecture,
-                    shard: ClientShard, opt: OptimizerState, lam: float,
-                    rng: np.random.Generator) -> tuple[ModelParams, float]:
-    """One pass of momentum SGD on the data loss with the proximal pull
-    (lam/2)*||theta - target||^2 handled implicitly, so any lam >= 0 is
-    stable and lam -> inf pins theta to the target."""
-    n = len(shard.train)
-    order = rng.permutation(n)
-    shrink = 1.0 / (1.0 + opt.learning_rate * lam)
-    pull = opt.learning_rate * lam
-    epoch_loss = 0.0
-    for start in range(0, n, opt.batch_size):
-        idx = order[start:start + opt.batch_size]
-        loss, grads = loss_and_grad(params, arch, shard.train.X[idx],
-                                    shard.train.y[idx])
-        stepped = sgd_step(params, grads, opt)
-        params = stepped.add(target.scale(pull)).scale(shrink)
-        epoch_loss += loss * idx.shape[0]
-    return params, epoch_loss / n
+    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink,
+                                  keep_momentum=True)
+    clusters = _affinity_clusters(weights_matrix)
+    return TrainedOutcome("dac", arch, _by_client(shards, params),
+                          assignments=_by_client(shards, clusters), log=records)
 
 
 def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
@@ -453,39 +413,26 @@ def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     broadcast global parameters with proximal strength ditto_lambda. One
     personal pass per round follows the client's global-branch update;
     evaluation uses the personal models."""
-    lam = cfg.ditto_lambda
-    global_params = init_params(arch, np.random.default_rng(seed))
-    personal = {s.client_id: init_params(arch, np.random.default_rng(seed))
-                for s in shards}
-    global_rngs = {s.client_id: np.random.default_rng(seed) for s in shards}
-    personal_rngs = {s.client_id: np.random.default_rng(seed) for s in shards}
-    personal_states = {s.client_id: opt.clone_config() for s in shards}
-    weights = _train_weights(shards)
-    records: list[dict] = []
-    for rnd in range(cfg.rounds):
-        round_lr = lr_at(opt.learning_rate, rnd, cfg.rounds, cfg.lr_schedule)
-        locals_, round_losses = [], []
-        for shard in shards:
-            state = opt.clone_config()
-            state.learning_rate = round_lr
-            p, losses = _local_pass(global_params, arch, shard, state,
-                                    cfg.local_epochs_per_round,
-                                    global_rngs[shard.client_id])
-            locals_.append(p)
-            round_losses.append(np.mean(losses))
-        global_params = average_params(locals_, weights)
+    weights = [len(s.train) for s in shards]
+    personal = [init_params(arch, np.random.default_rng(seed)) for _ in shards]
+    personal_rngs = [np.random.default_rng(seed) for _ in shards]
+    personal_states = [opt.clone_config() for _ in shards]
+
+    def mix(trained, lr):
+        global_params = average_params(trained, weights)
         # personal pull targets the freshly aggregated global parameters
-        for shard in shards:
-            cid = shard.client_id
-            personal_states[cid].learning_rate = round_lr
-            for _ in range(cfg.local_epochs_per_round):
-                personal[cid], _ = _proximal_epoch(
-                    personal[cid], global_params, arch, shard,
-                    personal_states[cid], lam, personal_rngs[cid])
-        _emit(log_sink, records, {
-            "round": rnd, "strategy": "ditto",
-            "mean_train_loss": float(np.average(round_losses, weights=weights))})
-    return TrainedOutcome("ditto", arch, personal, log=records)
+        for i, shard in enumerate(shards):
+            personal_states[i].learning_rate = lr
+            personal[i], _ = train_sgd(personal[i], arch, shard.train.X, shard.train.y,
+                                       personal_states[i], cfg.local_epochs_per_round,
+                                       personal_rngs[i], prox_target=global_params,
+                                       prox_lambda=cfg.ditto_lambda)
+        return [global_params] * len(trained)
+
+    _, records = _run_rounds(
+        shards, arch, opt, cfg, seed, mix, log_sink,
+        round_loss=lambda losses: float(np.average(losses, weights=weights)))
+    return TrainedOutcome("ditto", arch, _by_client(shards, personal), log=records)
 
 
 STRATEGY_FNS = {

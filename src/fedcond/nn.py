@@ -1,10 +1,9 @@
 """Minimal neural-network engine: dense/conv/pool layers, softmax cross-entropy,
 and SGD with classic momentum.
 
-Everything runs on float64 numpy arrays by default (a float32 fast path exists
-but the reference tolerance checks assume float64). All randomness is injected
-through numpy Generators, and all batch reductions use fixed summation order,
-so training is bit-reproducible for a fixed seed and batch order.
+Everything runs on float64 numpy arrays. All randomness is injected through
+numpy Generators, and all batch reductions use fixed summation order, so
+training is bit-reproducible for a fixed seed and batch order.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-DTYPE = np.float64
 
 ARCHITECTURE_KINDS = ("mlp", "mlp_conditional", "mnist_cnn", "mnist_cnn_conditional")
 
@@ -165,21 +162,26 @@ class ModelParams:
 # layer primitives
 # --------------------------------------------------------------------------
 
-class Dense:
+class Layer:
+    """Forward/backward over a batch; layers with parameters override `init`."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def init(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        return {}
+
+
+class Dense(Layer):
     def __init__(self, name: str, in_dim: int, out_dim: int):
         self.name = name
         self.in_dim = in_dim
         self.out_dim = out_dim
 
-    def param_shapes(self):
-        return {f"{self.name}.W": (self.in_dim, self.out_dim),
-                f"{self.name}.b": (self.out_dim,)}
-
-    def init(self, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
+    def init(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         limit = math.sqrt(6.0 / self.in_dim)
-        w = rng.uniform(-limit, limit, size=(self.in_dim, self.out_dim)).astype(dtype)
-        return {f"{self.name}.W": w,
-                f"{self.name}.b": np.zeros(self.out_dim, dtype=dtype)}
+        w = rng.uniform(-limit, limit, size=(self.in_dim, self.out_dim))
+        return {f"{self.name}.W": w, f"{self.name}.b": np.zeros(self.out_dim)}
 
     def forward(self, x, params, cache):
         if x.shape[1] != self.in_dim:
@@ -197,16 +199,7 @@ class Dense:
         return dout @ w.T
 
 
-class ReLU:
-    def __init__(self, name: str):
-        self.name = name
-
-    def param_shapes(self):
-        return {}
-
-    def init(self, rng, dtype):
-        return {}
-
+class ReLU(Layer):
     def forward(self, x, params, cache):
         mask = x > 0
         cache[self.name] = mask
@@ -216,7 +209,7 @@ class ReLU:
         return dout * cache[self.name]
 
 
-class Conv2d:
+class Conv2d(Layer):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved)."""
 
     KSIZE = 3
@@ -227,18 +220,12 @@ class Conv2d:
         self.in_ch = in_ch
         self.out_ch = out_ch
 
-    def param_shapes(self):
-        k = self.KSIZE
-        return {f"{self.name}.W": (self.out_ch, self.in_ch * k * k),
-                f"{self.name}.b": (self.out_ch,)}
-
-    def init(self, rng, dtype):
+    def init(self, rng):
         k = self.KSIZE
         fan_in = self.in_ch * k * k
         limit = math.sqrt(6.0 / fan_in)
-        w = rng.uniform(-limit, limit, size=(self.out_ch, fan_in)).astype(dtype)
-        return {f"{self.name}.W": w,
-                f"{self.name}.b": np.zeros(self.out_ch, dtype=dtype)}
+        w = rng.uniform(-limit, limit, size=(self.out_ch, fan_in))
+        return {f"{self.name}.W": w, f"{self.name}.b": np.zeros(self.out_ch)}
 
     def _im2col(self, x):
         n, c, h, w = x.shape
@@ -288,17 +275,8 @@ class Conv2d:
         return self._col2im(dcols, x_shape)
 
 
-class MaxPool2d:
+class MaxPool2d(Layer):
     """2x2 max pooling, stride 2. Ties break toward the first maximum."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def param_shapes(self):
-        return {}
-
-    def init(self, rng, dtype):
-        return {}
 
     def forward(self, x, params, cache):
         n, c, h, w = x.shape
@@ -323,16 +301,7 @@ class MaxPool2d:
                     .reshape(n, c, h, w))
 
 
-class Flatten:
-    def __init__(self, name: str):
-        self.name = name
-
-    def param_shapes(self):
-        return {}
-
-    def init(self, rng, dtype):
-        return {}
-
+class Flatten(Layer):
     def forward(self, x, params, cache):
         cache[self.name] = x.shape
         return x.reshape(x.shape[0], -1)
@@ -341,7 +310,7 @@ class Flatten:
         return dout.reshape(cache[self.name])
 
 
-class ConcatStats:
+class ConcatStats(Layer):
     """Concatenate the per-sample statistics rows onto the flattened features.
 
     The stats block is a fixed input, so its gradient slice is dropped on the
@@ -351,12 +320,6 @@ class ConcatStats:
     def __init__(self, name: str, stats_dim: int):
         self.name = name
         self.stats_dim = stats_dim
-
-    def param_shapes(self):
-        return {}
-
-    def init(self, rng, dtype):
-        return {}
 
     def forward(self, x, params, cache, stats=None):
         if stats is None:
@@ -412,13 +375,12 @@ def architecture_id(arch: Architecture) -> str:
             f":C={arch.class_count}:H={arch.hidden_dim}:l={arch.stats_dim}")
 
 
-def init_params(arch: Architecture, seed: int | np.random.Generator,
-                dtype=DTYPE) -> ModelParams:
+def init_params(arch: Architecture, seed: int | np.random.Generator) -> ModelParams:
     """He-uniform fan-in init for weights, zeros for biases."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     values: dict[str, np.ndarray] = {}
     for layer in _plan(arch):
-        values.update(layer.init(rng, dtype))
+        values.update(layer.init(rng))
     return ModelParams(architecture_id(arch), values)
 
 
@@ -446,7 +408,7 @@ def _prepare_stats(arch: Architecture, n: int, stats) -> np.ndarray | None:
         return None
     if stats is None:
         raise ConditioningError(f"{arch.kind} requires a stats vector of length {arch.stats_dim}")
-    stats = np.asarray(stats, dtype=DTYPE)
+    stats = np.asarray(stats, dtype=np.float64)
     if stats.ndim == 1:
         if stats.shape[0] != arch.stats_dim:
             raise ConditioningError(f"stats length {stats.shape[0]} != stats_dim {arch.stats_dim}")
@@ -457,7 +419,7 @@ def _prepare_stats(arch: Architecture, n: int, stats) -> np.ndarray | None:
 
 
 def _forward_cached(params: ModelParams, arch: Architecture, x: np.ndarray,
-                    stats: np.ndarray | None):
+                    stats: np.ndarray | None, locate_nonfinite: bool = False):
     caches = {}
     h = x
     for layer in _plan(arch):
@@ -465,6 +427,8 @@ def _forward_cached(params: ModelParams, arch: Architecture, x: np.ndarray,
             h = layer.forward(h, params, caches, stats=stats)
         else:
             h = layer.forward(h, params, caches)
+        if locate_nonfinite and not np.all(np.isfinite(h)):
+            raise NumericsError(layer.name, "non-finite activation")
     return h, caches
 
 
@@ -481,15 +445,7 @@ def forward(params: ModelParams, arch: Architecture, x, stats=None) -> np.ndarra
 
 
 def _raise_first_nonfinite(params, arch, x, stats):
-    h = x
-    caches = {}
-    for layer in _plan(arch):
-        if isinstance(layer, ConcatStats):
-            h = layer.forward(h, params, caches, stats=stats)
-        else:
-            h = layer.forward(h, params, caches)
-        if not np.all(np.isfinite(h)):
-            raise NumericsError(layer.name, "non-finite activation")
+    _forward_cached(params, arch, x, stats, locate_nonfinite=True)
     raise NumericsError("output", "non-finite activation")
 
 
@@ -547,9 +503,6 @@ class OptimizerState:
     batch_size: int = 64
     velocity: ModelParams | None = field(default=None, repr=False)
 
-    def reset(self):
-        self.velocity = None
-
     def clone_config(self) -> "OptimizerState":
         return OptimizerState(self.learning_rate, self.momentum, self.batch_size)
 
@@ -576,7 +529,7 @@ def average_params(models: list[ModelParams], weights) -> ModelParams:
     arch_ids = {m.architecture_id for m in models}
     if len(arch_ids) != 1:
         raise ValueError(f"mixed architectures: {sorted(arch_ids)}")
-    w = np.asarray(weights, dtype=DTYPE)
+    w = np.asarray(weights, dtype=np.float64)
     if w.shape[0] != len(models) or (w < 0).any():
         raise ValueError("need one nonnegative weight per model")
     total = w.sum()
@@ -593,15 +546,26 @@ def average_params(models: list[ModelParams], weights) -> ModelParams:
 
 def train_sgd(params: ModelParams, arch: Architecture, x: np.ndarray, y: np.ndarray,
               opt: OptimizerState, epochs: int, rng: np.random.Generator,
-              stats_rows: np.ndarray | None = None) -> tuple[ModelParams, list[float]]:
+              stats_rows: np.ndarray | None = None,
+              prox_target: ModelParams | None = None,
+              prox_lambda: float = 0.0) -> tuple[ModelParams, list[float]]:
     """Minibatch SGD for `epochs` passes; one seeded shuffle per epoch.
 
-    Returns the updated params and the mean training loss per epoch. The
-    optimizer's momentum state persists across epochs (and across calls,
-    which is what the round-based strategies rely on).
+    Returns the updated params and the mean training loss per epoch (data
+    loss only). The optimizer's momentum state persists across epochs (and
+    across calls, which is what the round-based strategies rely on).
+
+    With `prox_target`, the proximal pull (prox_lambda/2)*||theta - target||^2
+    is applied implicitly after each step, theta <- (theta + lr*lam*target) /
+    (1 + lr*lam), so any lam >= 0 is stable and lam -> inf pins theta to the
+    target.
     """
     n = x.shape[0]
     losses = []
+    if prox_target is not None:
+        pull = opt.learning_rate * prox_lambda
+        shrink = 1.0 / (1.0 + pull)
+        pulled_target = prox_target.scale(pull)
     for _ in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -610,6 +574,8 @@ def train_sgd(params: ModelParams, arch: Architecture, x: np.ndarray, y: np.ndar
             sb = stats_rows[idx] if stats_rows is not None else None
             loss, grads = loss_and_grad(params, arch, x[idx], y[idx], stats=sb)
             params = sgd_step(params, grads, opt)
+            if prox_target is not None:
+                params = params.add(pulled_target).scale(shrink)
             epoch_loss += loss * idx.shape[0]
         losses.append(epoch_loss / n)
     return params, losses

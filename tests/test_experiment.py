@@ -2,17 +2,23 @@
 and the command-line interface."""
 
 import csv
+import hashlib
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fedcond.config import ConfigError, ExperimentConfig, SuiteConfig
 from fedcond.experiment import (StageError, fingerprint_only, reaggregate,
                                 run_experiment, run_suite)
-from fedcond.federation import child_seed
+from fedcond.federation import STRATEGY_KINDS, StrategyConfig, child_seed
 from fedcond.report import RunReport
 
 TINY = {
@@ -141,6 +147,39 @@ def test_rerun_same_config_seed_byte_identical_summary(tmp_path):
     run_experiment(tiny_config(), out_dir=b)
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
     assert (a / "detail.csv").read_bytes() == (b / "detail.csv").read_bytes()
+
+
+# Every baseline over six rounds with a cosine schedule, so Gossip, DAC and
+# IFCA mix more than once (the benchmark workloads run a single round).
+MULTI_ROUND = {
+    "name": "multi-round",
+    "seed": 0,
+    "dataset": {"kind": "glyphs", "name": "glyphs", "train_per_class": 40,
+                "test_per_class": 12, "per_class_cap": None},
+    "heterogeneity": {"family": "E1", "K": 2, "clients_per_cluster": 3},
+    "stats": {"l": 8},
+    "training": {"architecture": "mlp", "hidden_dim": 32, "epochs": 6,
+                 "learning_rate": 0.05, "batch_size": 16, "lr_schedule": "cosine"},
+    "strategies": ["conditional", "local", "fedavg", "gossip", "oracle", "ifca",
+                   "dac", "ditto",
+                   {"kind": "gossip", "gossip_pairs_per_round": 1},
+                   {"kind": "ifca", "k_hypotheses": 3, "ifca_refinement_rounds": 3},
+                   {"kind": "ditto", "ditto_lambda": 0.0}],
+}
+
+# sha256 of the run's CSVs, recorded with numpy 2.4 and OpenBLAS 0.3.31 on
+# x86-64; a BLAS with a different summation order can change the last bits of
+# training and so these digests.
+MULTI_ROUND_SHA256 = {
+    "summary.csv": "d3e3ef73969ea9a3e58748ed1e61614405b735cd7edf96f0343df12fb4e6c9ea",
+    "detail.csv": "413cf3d1e04a3170aa7197da80373cd45045f84a276193844c5af8f01978f6c1",
+}
+
+
+def test_multi_round_run_matches_pinned_digests(tmp_path):
+    run_experiment(ExperimentConfig.from_dict(MULTI_ROUND), out_dir=tmp_path)
+    for name, digest in MULTI_ROUND_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_rerun_from_embedded_report_config_reproduces_accuracies(tiny_run, tmp_path):
@@ -273,8 +312,25 @@ def test_cli_rejects_bad_config(tmp_path):
      "local_epochs_per_round must be"),
     ({"stats": {"method": "dense"}}, "unknown StatsSpec keys: ['method']"),
     ({"stats": {"extractor": "identity"}}, "unknown StatsSpec keys: ['extractor']"),
+    ({"training": {"epochs": "3"}}, "training.epochs must be an integer, got '3'"),
+    ({"stats": {"l": "8"}}, "stats.l must be an integer, got '8'"),
+    ({"heterogeneity": {"K": "2"}}, "heterogeneity.K must be an integer, got '2'"),
+    ({"dataset": {"per_class_cap": "x"}},
+     "dataset.per_class_cap must be an integer or null, got 'x'"),
+    ({"strategies": [5]}, "strategies must be a list of kind names or objects"),
+    ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"training": {"batch_size": 2.5}}, "training.batch_size must be an integer"),
+    ({"training": {"momentum": "0.9"}}, "training.momentum must be a finite number"),
+    ({"training": {"learning_rate": -1}}, "training.learning_rate must be > 0"),
+    ({"training": {"momentum": 1.0}}, "training.momentum must be in [0, 1)"),
+    ({"strategies": [{"kind": "ditto", "ditto_lambda": "1"}]},
+     "ditto_lambda must be a finite number"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
-        "ditto-local-epochs-0", "stats-method", "stats-extractor"])
+        "ditto-local-epochs-0", "stats-method", "stats-extractor",
+        "epochs-str", "l-str", "K-str", "cap-str", "strategy-int", "seed-str",
+        "seed-bool", "batch-size-float", "momentum-str", "lr-negative",
+        "momentum-1", "ditto-lambda-str"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)
@@ -285,6 +341,44 @@ def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     assert message in r.stderr
     assert "Traceback" not in r.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+SYNTH_TINY = {
+    "name": "synth-tiny",
+    "dataset": {"kind": "synthetic", "name": "blobs", "train_per_class": 12,
+                "test_per_class": 4, "per_class_cap": None},
+    "heterogeneity": {"family": "E1", "K": 2, "clients_per_cluster": 2},
+    "stats": {"l": 4},
+    "training": {"architecture": "mlp", "hidden_dim": 8, "epochs": 2,
+                 "batch_size": 8},
+}
+
+# valid, boundary and wrong-typed values, kept small so every run is cheap
+OVERRIDE_VALUES = st.sampled_from([
+    0, 1, 2, -1, 0.0, 1e-3, 0.5, 2.5, 1e6, True, None, "2", "constant",
+    "cosine", float("nan"), float("inf"), [1]])
+OVERRIDE_KEYS = st.sampled_from(
+    sorted(set(StrategyConfig.__dataclass_fields__) - {"kind"}) + ["bogus"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(STRATEGY_KINDS),
+       overrides=st.dictionaries(OVERRIDE_KEYS, OVERRIDE_VALUES, max_size=4))
+def test_strategy_overrides_are_rejected_or_run_with_finite_losses(kind, overrides):
+    doc = dict(json.loads(json.dumps(SYNTH_TINY)),
+               strategies=[dict(overrides, kind=kind)])
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+    except ConfigError:
+        event("rejected")
+        return
+    event("ran")
+    with tempfile.TemporaryDirectory() as out:
+        report = run_experiment(cfg, out_dir=out)
+        with open(Path(out) / "train_log.jsonl") as f:
+            losses = [json.loads(line)["mean_train_loss"] for line in f]
+    assert losses and all(math.isfinite(x) for x in losses)
+    assert math.isfinite(report.results[0].mean_accuracy)
 
 
 def test_cli_suite_exit_code_reflects_failures(tmp_path):

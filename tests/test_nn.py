@@ -314,17 +314,6 @@ def test_training_reduces_loss_on_separable_data():
     assert losses[-1] < losses[0]
 
 
-def test_float32_fast_path_smoke():
-    arch = nn.mlp_architecture(6, 3, hidden_dim=5)
-    p64 = nn.init_params(arch, 0, dtype=np.float64)
-    p32 = nn.init_params(arch, 0, dtype=np.float32)
-    x = np.random.default_rng(0).random(6)
-    out64 = nn.forward(p64, arch, x)
-    out32 = nn.forward(p32, arch, x.astype(np.float32))
-    assert out32.dtype == np.float32
-    assert np.allclose(out32, out64, atol=1e-2)
-
-
 def test_flatten_round_trip():
     arch = nn.mlp_architecture(5, 3)
     params = nn.init_params(arch, 3)
