@@ -96,9 +96,15 @@ class HeterogeneitySpec:
     dataset_b: DatasetSpec | None = None  # E4a
 
     def validate(self):
-        from .heterogeneity import SPARSITY_LEVELS
+        from .heterogeneity import NAMED_RULES, SPARSITY_LEVELS
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
+        if self.K < 1:
+            raise ConfigError(f"heterogeneity.K must be >= 1, got {self.K}")
+        for rule in [*self.rules, self.superclass]:
+            if not isinstance(rule, str) or rule not in NAMED_RULES:
+                raise ConfigError(f"heterogeneity: unknown label rule {rule!r}; "
+                                  f"known: {sorted(NAMED_RULES)}")
         if self.sparsity is not None and self.sparsity not in SPARSITY_LEVELS:
             raise ConfigError(f"unknown sparsity level {self.sparsity!r}; "
                               f"known: {sorted(SPARSITY_LEVELS)}")
@@ -108,6 +114,9 @@ class HeterogeneitySpec:
             raise ConfigError("family E4a needs heterogeneity.dataset_b")
         if self.family == "E4b" and len(self.rules) != 2:
             raise ConfigError("family E4b needs exactly 2 concept rules")
+        if self.family == "E4b" and self.covariate_clusters < 2:
+            raise ConfigError(f"family E4b needs covariate_clusters >= 2, "
+                              f"got {self.covariate_clusters}")
 
     def effective_clients_per_cluster(self) -> int:
         from .heterogeneity import SPARSITY_LEVELS
@@ -273,15 +282,26 @@ class SuiteConfig:
     base: dict
     grid: dict[str, list]
 
+    def __post_init__(self):
+        check_field_types(self)
+        if not isinstance(self.base, dict):
+            raise ConfigError(f"suite base must be an object, got {self.base!r}")
+        if not (isinstance(self.grid, dict)
+                and all(isinstance(v, list) for v in self.grid.values())):
+            raise ConfigError(f"suite grid must map config paths to lists of "
+                              f"values, got {self.grid!r}")
+
     @classmethod
     def from_file(cls, path) -> "SuiteConfig":
         with open(path) as f:
             doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ConfigError("a suite config must be a JSON object")
         for key in ("base", "grid"):
             if key not in doc:
                 raise ConfigError(f"suite config needs a {key!r} section")
-        return cls(name=doc.get("name", "suite"), seed=int(doc.get("seed", 0)),
-                   base=doc["base"], grid={k: list(v) for k, v in doc["grid"].items()})
+        return cls(name=doc.get("name", "suite"), seed=doc.get("seed", 0),
+                   base=doc["base"], grid=doc["grid"])
 
     def expand(self) -> list[dict]:
         """All grid points as full config dicts, in deterministic order."""

@@ -311,9 +311,10 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
         models = [base]
         for h in range(1, K):
             rng = np.random.default_rng(child_seed(seed, 1000 + h))
-            jittered = {k: v + 0.05 * v.std() * rng.standard_normal(v.shape)
-                        for k, v in base.values.items()}
-            models.append(ModelParams(base.architecture_id, jittered))
+            jittered = base.copy()
+            for v in jittered.values.values():
+                v += 0.05 * v.std() * rng.standard_normal(v.shape)
+            models.append(jittered)
     weights = [len(s.train) for s in shards]
     assign: list[int] = []
 
@@ -394,7 +395,7 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
 
     def mix(trained, lr):
         nonlocal weights_matrix
-        flat = np.stack([p.flatten() for p in trained])
+        flat = np.stack([p.vector for p in trained])
         weights_matrix = _cosine_weight_matrix(flat, cfg.dac_temperature)
         # offset form: exactly the identity when all peers coincide
         mixed_flat = flat[:1] + weights_matrix @ (flat - flat[:1])

@@ -9,7 +9,7 @@ training is bit-reproducible for a fixed seed and batch order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,66 +96,41 @@ def cnn_architecture(class_count: int, hidden_dim: int = 128,
 
 @dataclass
 class ModelParams:
-    """Named parameter tensors plus the architecture they belong to.
+    """All parameters of one model as a single flat float64 `vector`.
 
-    Supports elementwise arithmetic over the flattened parameter vector
-    (add/scale/dot/norm), which is all the federation strategies need.
-    Operations return new instances; arrays are never mutated in place.
+    `values` maps each parameter name to a reshaped view into `vector`, laid
+    out in the order `shapes` lists them (the layer plan's order), so a write
+    through `values[name]` is a write to `vector`. Whole-model arithmetic
+    (SGD, averaging, mixing) runs on `vector`. `sgd_step` updates its
+    argument in place; `train_sgd` copies its input first, so a caller's
+    instance never changes and one instance can be handed to many clients.
     """
 
     architecture_id: str
-    values: dict[str, np.ndarray]
+    vector: np.ndarray
+    shapes: tuple[tuple[str, tuple[int, ...]], ...]
+    values: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = sum(math.prod(shape) for _, shape in self.shapes)
+        if self.vector.shape != (size,):
+            raise ValueError(f"expected flat vector of length {size}, "
+                             f"got {self.vector.shape}")
+        self.values, offset = {}, 0
+        for name, shape in self.shapes:
+            end = offset + math.prod(shape)
+            self.values[name] = self.vector[offset:end].reshape(shape)
+            offset = end
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.architecture_id, {k: v.copy() for k, v in self.values.items()})
-
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams(self.architecture_id, {k: np.zeros_like(v) for k, v in self.values.items()})
-
-    def map2(self, other: "ModelParams", fn) -> "ModelParams":
-        if other.architecture_id != self.architecture_id:
-            raise ValueError("architecture mismatch: "
-                             f"{self.architecture_id} vs {other.architecture_id}")
-        return ModelParams(self.architecture_id,
-                           {k: fn(v, other.values[k]) for k, v in self.values.items()})
-
-    def add(self, other: "ModelParams") -> "ModelParams":
-        return self.map2(other, np.add)
-
-    def sub(self, other: "ModelParams") -> "ModelParams":
-        return self.map2(other, np.subtract)
-
-    def scale(self, a: float) -> "ModelParams":
-        return ModelParams(self.architecture_id, {k: v * a for k, v in self.values.items()})
-
-    def dot(self, other: "ModelParams") -> float:
-        if other.architecture_id != self.architecture_id:
-            raise ValueError("architecture mismatch")
-        return float(sum(np.dot(v.ravel(), other.values[k].ravel())
-                         for k, v in self.values.items()))
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
-    def distance(self, other: "ModelParams") -> float:
-        return self.sub(other).norm()
-
-    @property
-    def size(self) -> int:
-        return sum(v.size for v in self.values.values())
+        return replace(self, vector=self.vector.copy())
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self.values.values()])
+        return self.vector.copy()
 
     def from_flat(self, vec: np.ndarray) -> "ModelParams":
-        """Rebuild params with this instance's names/shapes from a flat vector."""
-        if vec.shape != (self.size,):
-            raise ValueError(f"expected flat vector of length {self.size}, got {vec.shape}")
-        values, offset = {}, 0
-        for k, v in self.values.items():
-            values[k] = vec[offset:offset + v.size].reshape(v.shape).copy()
-            offset += v.size
-        return ModelParams(self.architecture_id, values)
+        """Params with this instance's layout over `vec` (shared, not copied)."""
+        return replace(self, vector=vec)
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +138,8 @@ class ModelParams:
 # --------------------------------------------------------------------------
 
 class Layer:
-    """Forward/backward over a batch; layers with parameters override `init`."""
+    """Forward/backward over a batch; layers with parameters override `init`
+    and write their gradients into the views `grads.values[name]` in place."""
 
     def __init__(self, name: str):
         self.name = name
@@ -194,8 +170,8 @@ class Dense(Layer):
     def backward(self, dout, params, cache, grads):
         x = cache[self.name]
         w = params.values[f"{self.name}.W"]
-        grads[f"{self.name}.W"] = x.T @ dout
-        grads[f"{self.name}.b"] = dout.sum(axis=0)
+        np.matmul(x.T, dout, out=grads.values[f"{self.name}.W"])
+        grads.values[f"{self.name}.b"][...] = dout.sum(axis=0)
         return dout @ w.T
 
 
@@ -228,28 +204,25 @@ class Conv2d(Layer):
         return {f"{self.name}.W": w, f"{self.name}.b": np.zeros(self.out_ch)}
 
     def _im2col(self, x):
+        """(n, c*k*k, h*w) columns; row ci*k*k + di*k + dj holds the input
+        shifted by (di, dj) in channel ci."""
         n, c, h, w = x.shape
         k, p = self.KSIZE, self.PAD
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        cols = np.empty((n, c * k * k, h * w), dtype=x.dtype)
-        row = 0
-        for ci in range(c):
-            for di in range(k):
-                for dj in range(k):
-                    cols[:, row, :] = xp[:, ci, di:di + h, dj:dj + w].reshape(n, -1)
-                    row += 1
-        return cols
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
 
     def _col2im(self, dcols, x_shape):
+        """Sum the columns back onto the input grid, each input element's k*k
+        contributions in (di, dj) order. `dcols` may be a transposed einsum
+        view; one row-major copy keeps each offset's reads within channels."""
         n, c, h, w = x_shape
         k, p = self.KSIZE, self.PAD
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
-        row = 0
-        for ci in range(c):
-            for di in range(k):
-                for dj in range(k):
-                    dxp[:, ci, di:di + h, dj:dj + w] += dcols[:, row, :].reshape(n, h, w)
-                    row += 1
+        shifted = np.ascontiguousarray(dcols).reshape(n, c, k, k, h, w)
+        for di in range(k):
+            for dj in range(k):
+                dxp[:, :, di:di + h, dj:dj + w] += shifted[:, :, di, dj]
         return dxp[:, :, p:p + h, p:p + w]
 
     def forward(self, x, params, cache):
@@ -269,8 +242,9 @@ class Conv2d(Layer):
         n, _, h, w = x_shape
         dflat = dout.reshape(n, self.out_ch, h * w)
         wmat = params.values[f"{self.name}.W"]
-        grads[f"{self.name}.W"] = np.einsum("noj,nij->oi", dflat, cols, optimize=True)
-        grads[f"{self.name}.b"] = dflat.sum(axis=(0, 2))
+        grads.values[f"{self.name}.W"][...] = np.einsum("noj,nij->oi", dflat, cols,
+                                                        optimize=True)
+        grads.values[f"{self.name}.b"][...] = dflat.sum(axis=(0, 2))
         dcols = np.einsum("oi,noj->nij", wmat, dflat, optimize=True)
         return self._col2im(dcols, x_shape)
 
@@ -381,7 +355,9 @@ def init_params(arch: Architecture, seed: int | np.random.Generator) -> ModelPar
     values: dict[str, np.ndarray] = {}
     for layer in _plan(arch):
         values.update(layer.init(rng))
-    return ModelParams(architecture_id(arch), values)
+    return ModelParams(architecture_id(arch),
+                       np.concatenate([v.ravel() for v in values.values()]),
+                       tuple((name, v.shape) for name, v in values.items()))
 
 
 def _prepare_input(arch: Architecture, x: np.ndarray) -> np.ndarray:
@@ -484,37 +460,36 @@ def loss_and_grad(params: ModelParams, arch: Architecture, x, y,
     dlogits = softmax(logits)
     dlogits[np.arange(n), yb] -= 1.0
     dlogits /= n
-    grads: dict[str, np.ndarray] = {}
+    grads = replace(params, vector=np.empty_like(params.vector))
     d = dlogits
     for layer in reversed(_plan(arch)):
         d = layer.backward(d, params, caches, grads)
-    for name, v in params.values.items():
-        grads.setdefault(name, np.zeros_like(v))
-    return loss, ModelParams(params.architecture_id, grads)
+    return loss, grads
 
 
 @dataclass
 class OptimizerState:
-    """SGD-with-momentum state. Velocity buffers mirror the parameter shapes
-    and are created lazily on the first step."""
+    """SGD-with-momentum state. The velocity is a flat vector laid out like
+    the parameter vector, created lazily on the first step."""
 
     learning_rate: float = 0.01
     momentum: float = 0.9
     batch_size: int = 64
-    velocity: ModelParams | None = field(default=None, repr=False)
+    velocity: np.ndarray | None = field(default=None, repr=False)
 
     def clone_config(self) -> "OptimizerState":
         return OptimizerState(self.learning_rate, self.momentum, self.batch_size)
 
 
-def sgd_step(params: ModelParams, grads: ModelParams, opt: OptimizerState) -> ModelParams:
-    """Classic (heavy-ball) momentum: v <- mu*v + g; theta <- theta - lr*v."""
+def sgd_step(params: ModelParams, grads: ModelParams, opt: OptimizerState) -> None:
+    """Classic (heavy-ball) momentum, in place: v <- mu*v + g; theta <- theta - lr*v."""
     if opt.velocity is None:
-        opt.velocity = params.zeros_like()
-    elif opt.velocity.architecture_id != params.architecture_id:
+        opt.velocity = np.zeros_like(params.vector)
+    elif opt.velocity.shape != params.vector.shape:
         raise ValueError("optimizer state belongs to a different architecture")
-    opt.velocity = opt.velocity.scale(opt.momentum).add(grads)
-    return params.sub(opt.velocity.scale(opt.learning_rate))
+    opt.velocity *= opt.momentum
+    opt.velocity += grads.vector
+    params.vector -= opt.learning_rate * opt.velocity
 
 
 def average_params(models: list[ModelParams], weights) -> ModelParams:
@@ -536,12 +511,11 @@ def average_params(models: list[ModelParams], weights) -> ModelParams:
     if total <= 0:
         raise ValueError("weights must sum to a positive value")
     w = w / total
-    base = models[0].values
-    out = {k: v.copy() for k, v in base.items()}
+    base = models[0].vector
+    out = base.copy()
     for wi, m in zip(w, models):
-        for k, v in m.values.items():
-            out[k] += wi * (v - base[k])
-    return ModelParams(models[0].architecture_id, out)
+        out += wi * (m.vector - base)
+    return replace(models[0], vector=out)
 
 
 def train_sgd(params: ModelParams, arch: Architecture, x: np.ndarray, y: np.ndarray,
@@ -551,9 +525,10 @@ def train_sgd(params: ModelParams, arch: Architecture, x: np.ndarray, y: np.ndar
               prox_lambda: float = 0.0) -> tuple[ModelParams, list[float]]:
     """Minibatch SGD for `epochs` passes; one seeded shuffle per epoch.
 
-    Returns the updated params and the mean training loss per epoch (data
-    loss only). The optimizer's momentum state persists across epochs (and
-    across calls, which is what the round-based strategies rely on).
+    Returns a trained copy of `params` (the argument is left unchanged) and
+    the mean training loss per epoch (data loss only). The optimizer's
+    momentum state persists across epochs (and across calls, which is what
+    the round-based strategies rely on).
 
     With `prox_target`, the proximal pull (prox_lambda/2)*||theta - target||^2
     is applied implicitly after each step, theta <- (theta + lr*lam*target) /
@@ -562,10 +537,11 @@ def train_sgd(params: ModelParams, arch: Architecture, x: np.ndarray, y: np.ndar
     """
     n = x.shape[0]
     losses = []
+    params = params.copy()
     if prox_target is not None:
         pull = opt.learning_rate * prox_lambda
         shrink = 1.0 / (1.0 + pull)
-        pulled_target = prox_target.scale(pull)
+        pulled_target = prox_target.vector * pull
     for _ in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -573,9 +549,10 @@ def train_sgd(params: ModelParams, arch: Architecture, x: np.ndarray, y: np.ndar
             idx = order[start:start + opt.batch_size]
             sb = stats_rows[idx] if stats_rows is not None else None
             loss, grads = loss_and_grad(params, arch, x[idx], y[idx], stats=sb)
-            params = sgd_step(params, grads, opt)
+            sgd_step(params, grads, opt)
             if prox_target is not None:
-                params = params.add(pulled_target).scale(shrink)
+                params.vector += pulled_target
+                params.vector *= shrink
             epoch_loss += loss * idx.shape[0]
         losses.append(epoch_loss / n)
     return params, losses

@@ -74,6 +74,11 @@ def announce(criterion, detail):
     print(f"[PASS] {criterion}: {detail} [dataset={desk_dataset_spec()['name']}]")
 
 
+def dist(a, b):
+    """Euclidean distance between two models' parameter vectors."""
+    return float(np.linalg.norm(a.vector - b.vector))
+
+
 # --------------------------------------------------------------- criterion 1
 
 def covariance_oracle_eigs(Z, l):
@@ -199,18 +204,18 @@ def test_criterion_06_strategy_degeneracies():
     ic = train_ifca(shards, arch, opt,
                     StrategyConfig("ifca", k_hypotheses=1,
                                    ifca_refinement_rounds=6), SEED)
-    d_ifca = fa.client_params[0].distance(ic.client_params[0])
+    d_ifca = dist(fa.client_params[0], ic.client_params[0])
 
     lo = train_local(shards, arch, opt, StrategyConfig("local", epochs=6), SEED)
     di = train_ditto(shards, arch, opt,
                      StrategyConfig("ditto", rounds=6, ditto_lambda=0.0), SEED)
-    d_ditto = max(lo.client_params[c].distance(di.client_params[c])
+    d_ditto = max(dist(lo.client_params[c], di.client_params[c])
                   for c in lo.client_params)
 
     go = train_gossip(shards, arch, opt,
                       StrategyConfig("gossip", rounds=6, gossip_pairs_per_round=0),
                       SEED)
-    d_gossip = max(lo.client_params[c].distance(go.client_params[c])
+    d_gossip = max(dist(lo.client_params[c], go.client_params[c])
                    for c in lo.client_params)
 
     one_cluster = [ClientShard(s.client_id, 0, s.train, s.test) for s in shards]
@@ -218,7 +223,7 @@ def test_criterion_06_strategy_degeneracies():
     X = np.vstack([s.train.X for s in one_cluster])
     y = np.concatenate([s.train.y for s in one_cluster])
     central, _ = train_pooled(X, y, arch, opt, 6, SEED)
-    d_oracle = orc.client_params[0].distance(central)
+    d_oracle = dist(orc.client_params[0], central)
 
     for name, d in [("ifca(K=1)=fedavg", d_ifca), ("ditto(0)=local", d_ditto),
                     ("gossip(0)=local", d_gossip), ("oracle(K=1)=centralized", d_oracle)]:

@@ -326,11 +326,19 @@ def test_cli_rejects_bad_config(tmp_path):
     ({"training": {"momentum": 1.0}}, "training.momentum must be in [0, 1)"),
     ({"strategies": [{"kind": "ditto", "ditto_lambda": "1"}]},
      "ditto_lambda must be a finite number"),
+    ({"heterogeneity": {"K": 0}}, "heterogeneity.K must be >= 1, got 0"),
+    ({"heterogeneity": {"family": "E3a", "rules": ["parity", "bogus"]}},
+     "heterogeneity: unknown label rule 'bogus'"),
+    ({"heterogeneity": {"family": "E2a", "superclass": "bogus"}},
+     "heterogeneity: unknown label rule 'bogus'"),
+    ({"heterogeneity": {"family": "E4b", "covariate_clusters": 1}},
+     "family E4b needs covariate_clusters >= 2, got 1"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "stats-method", "stats-extractor",
         "epochs-str", "l-str", "K-str", "cap-str", "strategy-int", "seed-str",
         "seed-bool", "batch-size-float", "momentum-str", "lr-negative",
-        "momentum-1", "ditto-lambda-str"])
+        "momentum-1", "ditto-lambda-str", "K-0", "rule-unknown",
+        "superclass-unknown", "covariate-clusters-1"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)
@@ -388,6 +396,32 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
     r = run_cli("suite", str(path), "--out", str(tmp_path / "suite_out"))
     assert r.returncode == 1
     assert "1 failed" in r.stdout
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"grid": {"heterogeneity.K": 5}},
+     "suite grid must map config paths to lists of values, got {'heterogeneity.K': 5}"),
+    ({"grid": [1]}, "suite grid must map config paths to lists of values, got [1]"),
+    ({"grid": {"heterogeneity.sparsity": "Rich"}},
+     "suite grid must map config paths to lists of values, "
+     "got {'heterogeneity.sparsity': 'Rich'}"),
+    ({"seed": "3"}, "seed must be an integer, got '3'"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"base": [1]}, "suite base must be an object, got [1]"),
+    (5, "a suite config must be a JSON object"),
+], ids=["grid-scalar", "grid-list", "grid-string", "seed-str", "seed-bool",
+        "base-list", "document-number"])
+def test_cli_suite_rejects_malformed_document(tmp_path, override, message):
+    # a dict is merged into a valid suite document; anything else replaces it
+    doc = (dict(suite_doc({"heterogeneity.K": [2]}), **override)
+           if isinstance(override, dict) else override)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("suite", str(path), "--out", str(tmp_path / "suite_out"))
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["suite.json"]
 
 
 def test_cli_fingerprint_subcommand(tmp_path):

@@ -53,6 +53,11 @@ def opt():
     return nn.OptimizerState(0.05, 0.9, batch_size=16)
 
 
+def dist(a, b):
+    """Euclidean distance between two models' parameter vectors."""
+    return float(np.linalg.norm(a.vector - b.vector))
+
+
 # ------------------------------------------------------- degeneracy identities
 
 def test_ifca_k1_equals_fedavg():
@@ -63,7 +68,7 @@ def test_ifca_k1_equals_fedavg():
     ic = fed.train_ifca(shards, arch, opt(),
                         fed.StrategyConfig("ifca", k_hypotheses=1,
                                            ifca_refinement_rounds=6), SEED)
-    assert fa.client_params[0].distance(ic.client_params[0]) == 0.0
+    assert dist(fa.client_params[0], ic.client_params[0]) == 0.0
     assert set(ic.assignments.values()) == {0}
 
 
@@ -76,7 +81,7 @@ def test_ditto_lambda0_equals_local():
                          fed.StrategyConfig("ditto", rounds=6, ditto_lambda=0.0),
                          SEED)
     for cid in lo.client_params:
-        assert lo.client_params[cid].distance(di.client_params[cid]) == 0.0
+        assert dist(lo.client_params[cid], di.client_params[cid]) == 0.0
 
 
 def test_gossip_zero_pairs_equals_local():
@@ -88,7 +93,7 @@ def test_gossip_zero_pairs_equals_local():
                           fed.StrategyConfig("gossip", rounds=6,
                                              gossip_pairs_per_round=0), SEED)
     for cid in lo.client_params:
-        assert lo.client_params[cid].distance(go.client_params[cid]) == 0.0
+        assert dist(lo.client_params[cid], go.client_params[cid]) == 0.0
 
 
 def test_oracle_k1_equals_centralized_equals_single_client_fedavg():
@@ -100,14 +105,14 @@ def test_oracle_k1_equals_centralized_equals_single_client_fedavg():
     X = np.vstack([s.train.X for s in one_cluster])
     y = np.concatenate([s.train.y for s in one_cluster])
     central, _ = fed.train_pooled(X, y, arch, opt(), 6, SEED)
-    assert orc.client_params[0].distance(central) == 0.0
+    assert dist(orc.client_params[0], central) == 0.0
 
     merged_train = Dataset("pool", X, y, 2, (2,))
     merged = [ClientShard(0, 0, merged_train, one_cluster[0].test)]
     fa = fed.train_fedavg(merged, arch, opt(),
                           fed.StrategyConfig("fedavg", rounds=1,
                                              local_epochs_per_round=6), SEED)
-    assert fa.client_params[0].distance(central) == 0.0
+    assert dist(fa.client_params[0], central) == 0.0
 
 
 def test_two_identical_clients_train_identical_local_models():
@@ -116,7 +121,7 @@ def test_two_identical_clients_train_identical_local_models():
             ClientShard(1, 0, shards[0].train, shards[0].test)]
     out = fed.train_local(twin, arch_for(shards), opt(),
                           fed.StrategyConfig("local", epochs=4), SEED)
-    assert out.client_params[0].distance(out.client_params[1]) == 0.0
+    assert dist(out.client_params[0], out.client_params[1]) == 0.0
 
 
 def test_gossip_two_identical_clients_first_round_matches_fedavg():
@@ -128,7 +133,7 @@ def test_gossip_two_identical_clients_first_round_matches_fedavg():
                           fed.StrategyConfig("fedavg", rounds=1), SEED)
     go = fed.train_gossip(twin, arch, opt(),
                           fed.StrategyConfig("gossip", rounds=1), SEED)
-    assert fa.client_params[0].distance(go.client_params[0]) < 1e-12
+    assert dist(fa.client_params[0], go.client_params[0]) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["local", "fedavg", "gossip", "ifca", "dac", "ditto"])
@@ -258,7 +263,7 @@ def test_ditto_huge_lambda_pins_personal_to_global():
     fa = fed.train_fedavg(shards, arch, opt(),
                           fed.StrategyConfig("fedavg", rounds=4), SEED)
     for cid in out.client_params:
-        assert out.client_params[cid].distance(fa.client_params[cid]) < 1e-3
+        assert dist(out.client_params[cid], fa.client_params[cid]) < 1e-3
 
 
 # ---------------------------------------------------------------- conditional
@@ -296,7 +301,7 @@ def test_conditional_single_client_is_centralized_with_constant_stats():
     stats_rows = np.tile(shards[0].stats, (len(shards[0].train), 1))
     central, _ = fed.train_pooled(shards[0].train.X, shards[0].train.y, arch,
                                   opt(), 5, SEED, stats_rows=stats_rows)
-    assert out.client_params[0].distance(central) == 0.0
+    assert dist(out.client_params[0], central) == 0.0
 
 
 # ----------------------------------------------------------------- evaluation

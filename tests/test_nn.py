@@ -68,9 +68,9 @@ def test_conditional_with_zeroed_stats_path_matches_unconditioned():
     plain = nn.mlp_architecture(10, 3, hidden_dim=7)
     p_cond = nn.init_params(cond, 5)
     p_cond.values["fc1.W"][10:, :] = 0.0  # kill the stats block
-    p_plain = nn.ModelParams(nn.architecture_id(plain), {
-        k: (v[:10, :].copy() if k == "fc1.W" else v.copy())
-        for k, v in p_cond.values.items()})
+    p_plain = nn.init_params(plain, 0)
+    for k, v in p_plain.values.items():
+        v[...] = p_cond.values[k][:10, :] if k == "fc1.W" else p_cond.values[k]
     X = rng.random((8, 10))
     S = rng.random((8, 4))
     out_c = nn.forward(p_cond, cond, X, stats=S)
@@ -198,8 +198,8 @@ def test_sgd_step_zero_momentum_unit_lr_cancels_params():
     arch = nn.mlp_architecture(3, 2)
     params = nn.init_params(arch, 4)
     opt = nn.OptimizerState(learning_rate=1.0, momentum=0.0)
-    stepped = nn.sgd_step(params, params.copy(), opt)  # gradient equals params
-    assert stepped.norm() == 0.0
+    nn.sgd_step(params, params.copy(), opt)  # gradient equals params
+    assert np.linalg.norm(params.vector) == 0.0
 
 
 def test_sgd_two_steps_constant_gradient_closed_form():
@@ -207,11 +207,12 @@ def test_sgd_two_steps_constant_gradient_closed_form():
     theta0 = nn.init_params(arch, 5)
     g = nn.init_params(arch, 6)
     opt = nn.OptimizerState(learning_rate=0.01, momentum=0.9)
-    theta = nn.sgd_step(theta0, g, opt)
-    theta = nn.sgd_step(theta, g, opt)
+    theta = theta0.copy()
+    nn.sgd_step(theta, g, opt)
+    nn.sgd_step(theta, g, opt)
     # v1 = g, v2 = 1.9 g  =>  theta2 = theta0 - 0.01 g - 0.019 g
-    expected = theta0.sub(g.scale(0.01)).sub(g.scale(0.01 * 1.9))
-    assert theta.distance(expected) < 1e-15
+    expected = theta0.vector - g.vector * 0.01 - g.vector * (0.01 * 1.9)
+    assert np.linalg.norm(theta.vector - expected) < 1e-15
 
 
 def test_sgd_zero_gradient_keeps_params_decays_velocity():
@@ -219,11 +220,11 @@ def test_sgd_zero_gradient_keeps_params_decays_velocity():
     params = nn.init_params(arch, 7)
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.9)
     g = nn.init_params(arch, 8)
-    params1 = nn.sgd_step(params, g, opt)
-    v1 = opt.velocity.copy()
-    params2 = nn.sgd_step(params1, params.zeros_like(), opt)
-    assert opt.velocity.distance(v1.scale(0.9)) == 0.0
-    assert params2.distance(params1.sub(v1.scale(0.9 * 0.1))) < 1e-14
+    nn.sgd_step(params, g, opt)
+    params1, v1 = params.copy(), opt.velocity.copy()
+    nn.sgd_step(params, params.from_flat(np.zeros_like(params.vector)), opt)
+    assert np.linalg.norm(opt.velocity - v1 * 0.9) == 0.0
+    assert np.linalg.norm(params.vector - (params1.vector - v1 * (0.9 * 0.1))) < 1e-14
 
 
 def test_lr_schedule_constant_and_cosine_endpoints():
@@ -248,7 +249,8 @@ def test_average_of_identical_models_is_identity(k):
 def test_average_of_theta_and_minus_theta_is_zero():
     arch = nn.mlp_architecture(4, 3)
     theta = nn.init_params(arch, 10)
-    assert nn.average_params([theta, theta.scale(-1.0)], [1, 1]).norm() == 0.0
+    minus_theta = theta.from_flat(theta.vector * -1.0)
+    assert np.linalg.norm(nn.average_params([theta, minus_theta], [1, 1]).vector) == 0.0
 
 
 def test_weighted_average_matches_scalar_loop_oracle():
@@ -318,4 +320,46 @@ def test_flatten_round_trip():
     arch = nn.mlp_architecture(5, 3)
     params = nn.init_params(arch, 3)
     rebuilt = params.from_flat(params.flatten())
-    assert rebuilt.distance(params) == 0.0
+    assert np.linalg.norm(rebuilt.vector - params.vector) == 0.0
+    for name, v in rebuilt.values.items():
+        assert np.array_equal(v, params.values[name])
+
+
+def test_values_are_views_into_the_flat_vector():
+    params = nn.init_params(nn.mlp_architecture(5, 3, hidden_dim=4), 3)
+    params.values["fc2.W"][1, 2] = 7.5
+    offset = 5 * 4 + 4  # fc1.W, fc1.b come first
+    assert params.vector[offset + 1 * 4 + 2] == 7.5
+    params.vector[-1] = -2.0
+    assert params.values["out.b"][-1] == -2.0
+
+
+def test_flat_vector_of_the_wrong_length_rejected():
+    params = nn.init_params(nn.mlp_architecture(5, 3), 0)
+    with pytest.raises(ValueError, match="expected flat vector of length"):
+        params.from_flat(np.zeros(params.vector.size + 1))
+
+
+def test_train_sgd_leaves_params_and_prox_target_unchanged():
+    arch = nn.mlp_architecture(6, 3, hidden_dim=5)
+    rng = np.random.default_rng(4)
+    X = rng.random((20, 6))
+    y = rng.integers(0, 3, 20)
+    params = nn.init_params(arch, 1)
+    target = nn.init_params(arch, 2)
+    params_before, target_before = params.flatten(), target.flatten()
+    opt = nn.OptimizerState(0.05, 0.9, batch_size=8)
+    trained, _ = nn.train_sgd(params, arch, X, y, opt, 2, np.random.default_rng(0),
+                              prox_target=target, prox_lambda=0.5)
+    assert np.array_equal(params.vector, params_before)
+    assert np.array_equal(target.vector, target_before)
+    assert not np.array_equal(trained.vector, params_before)
+
+
+def test_sgd_step_rejects_velocity_of_another_architecture():
+    small = nn.init_params(nn.mlp_architecture(3, 2), 0)
+    large = nn.init_params(nn.mlp_architecture(4, 2), 0)
+    opt = nn.OptimizerState()
+    nn.sgd_step(small, small.copy(), opt)
+    with pytest.raises(ValueError, match="different architecture"):
+        nn.sgd_step(large, large.copy(), opt)
