@@ -290,6 +290,10 @@ class SuiteConfig:
                 and all(isinstance(v, list) for v in self.grid.values())):
             raise ConfigError(f"suite grid must map config paths to lists of "
                               f"values, got {self.grid!r}")
+        empty = sorted(k for k, v in self.grid.items() if not v)
+        if empty:
+            raise ConfigError(f"suite grid lists no values for {', '.join(empty)}; "
+                              f"the suite would run nothing")
 
     @classmethod
     def from_file(cls, path) -> "SuiteConfig":

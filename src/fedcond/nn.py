@@ -138,8 +138,11 @@ class ModelParams:
 # --------------------------------------------------------------------------
 
 class Layer:
-    """Forward/backward over a batch; layers with parameters override `init`
-    and write their gradients into the views `grads.values[name]` in place."""
+    """Forward/backward over a batch; layers with parameters set `weighted`,
+    override `init` and write their gradients into the views
+    `grads.values[name]` in place."""
+
+    weighted = False
 
     def __init__(self, name: str):
         self.name = name
@@ -149,6 +152,8 @@ class Layer:
 
 
 class Dense(Layer):
+    weighted = True
+
     def __init__(self, name: str, in_dim: int, out_dim: int):
         self.name = name
         self.in_dim = in_dim
@@ -167,12 +172,12 @@ class Dense(Layer):
         b = params.values[f"{self.name}.b"]
         return x @ w + b
 
-    def backward(self, dout, params, cache, grads):
+    def backward(self, dout, params, cache, grads, input_grad=True):
         x = cache[self.name]
-        w = params.values[f"{self.name}.W"]
         np.matmul(x.T, dout, out=grads.values[f"{self.name}.W"])
         grads.values[f"{self.name}.b"][...] = dout.sum(axis=0)
-        return dout @ w.T
+        if input_grad:
+            return dout @ params.values[f"{self.name}.W"].T
 
 
 class ReLU(Layer):
@@ -185,11 +190,55 @@ class ReLU(Layer):
         return dout * cache[self.name]
 
 
+def _one_sample_order(a, n, order):
+    """GEMM operand `a`, built from a batch of `n` samples, in the memory
+    order BLAS must see. A one-sample batch goes in `order`, the one that
+    keeps its spatial axis contiguous as in an NCHW plane: OpenBLAS's
+    small-matrix kernels round that differently from the channels-last
+    order, and the engine's results are fixed to the NCHW one."""
+    return np.asarray(a, order=order) if n == 1 else a
+
+
+def _plane_sums(d):
+    """(n, m, c) -> (n, c): each of the n*c length-m columns summed in the
+    pairwise order numpy's `sum` uses along a contiguous axis (halves cut at
+    a multiple of 8 down to 128 or fewer, then 8 running accumulators, then
+    the tail one by one). On channels-last memory this gives the bits of a
+    sum over each NCHW plane without copying the array into that layout."""
+    m = d.shape[1]
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _plane_sums(d[:, :half]) + _plane_sums(d[:, half:])
+    whole = m - m % 8
+    if whole:
+        r = d[:, :8].copy()
+        for i in range(8, whole, 8):
+            r += d[:, i:i + 8]
+        res = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+               + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
+    else:
+        res = np.zeros((d.shape[0], d.shape[2]), dtype=d.dtype)
+    for i in range(whole, m):
+        res += d[:, i]
+    return res
+
+
 class Conv2d(Layer):
-    """3x3 convolution, stride 1, zero padding 1 (spatial size preserved)."""
+    """3x3 convolution, stride 1, zero padding 1 (spatial size preserved), as
+    one GEMM per pass over im2col columns (Chellapilla et al. 2006).
+
+    Arrays cross the layer boundary with shape (N, C, H, W) in any memory
+    layout; the output is a transposed view of channels-last (N, H, W, C)
+    memory, which is what the GEMM writes, and an input in that layout is
+    read with no copy besides the columns. Column row (n*H + y)*W + x holds
+    the padded 3x3 window at (y, x), entry ci*9 + di*3 + dj, matching the
+    weight layout (out_ch, in_ch*9). The bias gradient adds each (sample,
+    channel) plane pairwise, then the samples in order.
+    """
 
     KSIZE = 3
     PAD = 1
+    weighted = True
 
     def __init__(self, name: str, in_ch: int, out_ch: int):
         self.name = name
@@ -204,26 +253,26 @@ class Conv2d(Layer):
         return {f"{self.name}.W": w, f"{self.name}.b": np.zeros(self.out_ch)}
 
     def _im2col(self, x):
-        """(n, c*k*k, h*w) columns; row ci*k*k + di*k + dj holds the input
-        shifted by (di, dj) in channel ci."""
+        """(n*h*w, c*k*k) columns from the zero-padded channels-last input."""
         n, c, h, w = x.shape
         k, p = self.KSIZE, self.PAD
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
+        xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+        return windows.reshape(n * h * w, c * k * k)
 
     def _col2im(self, dcols, x_shape):
-        """Sum the columns back onto the input grid, each input element's k*k
-        contributions in (di, dj) order. `dcols` may be a transposed einsum
-        view; one row-major copy keeps each offset's reads within channels."""
+        """Sum (n*h*w, k*k*c) column gradients, entry (di*k + dj)*c + ci,
+        back onto the channels-last input grid, each input element's k*k
+        contributions in (di, dj) order."""
         n, c, h, w = x_shape
         k, p = self.KSIZE, self.PAD
-        dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
-        shifted = np.ascontiguousarray(dcols).reshape(n, c, k, k, h, w)
+        dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dcols.dtype)
+        shifted = dcols.reshape(n, h, w, k, k, c)
         for di in range(k):
             for dj in range(k):
-                dxp[:, :, di:di + h, dj:dj + w] += shifted[:, :, di, dj]
-        return dxp[:, :, p:p + h, p:p + w]
+                dxp[:, di:di + h, dj:dj + w] += shifted[:, :, :, di, dj]
+        return dxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2)
 
     def forward(self, x, params, cache):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
@@ -231,51 +280,60 @@ class Conv2d(Layer):
         n, _, h, w = x.shape
         cols = self._im2col(x)
         cache[self.name] = (cols, x.shape)
-        wmat = params.values[f"{self.name}.W"]
-        b = params.values[f"{self.name}.b"]
-        out = np.einsum("oi,nij->noj", wmat, cols, optimize=True)
-        out += b[None, :, None]
-        return out.reshape(n, self.out_ch, h, w)
+        out = _one_sample_order(cols, n, "F") @ params.values[f"{self.name}.W"].T
+        out += params.values[f"{self.name}.b"]
+        return out.reshape(n, h, w, self.out_ch).transpose(0, 3, 1, 2)
 
-    def backward(self, dout, params, cache, grads):
+    def backward(self, dout, params, cache, grads, input_grad=True):
         cols, x_shape = cache[self.name]
         n, _, h, w = x_shape
-        dflat = dout.reshape(n, self.out_ch, h * w)
-        wmat = params.values[f"{self.name}.W"]
-        grads.values[f"{self.name}.W"][...] = np.einsum("noj,nij->oi", dflat, cols,
-                                                        optimize=True)
-        grads.values[f"{self.name}.b"][...] = dflat.sum(axis=(0, 2))
-        dcols = np.einsum("oi,noj->nij", wmat, dflat, optimize=True)
-        return self._col2im(dcols, x_shape)
+        dflat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * h * w, self.out_ch)
+        dflat = _one_sample_order(dflat, n, "F")
+        grads.values[f"{self.name}.W"][...] = (_one_sample_order(cols.T, n, "C") @ dflat).T
+        grads.values[f"{self.name}.b"][...] = _plane_sums(
+            dflat.reshape(n, h * w, self.out_ch)).sum(axis=0)
+        if input_grad:
+            # weight columns reordered to (di, dj, ci) so each offset's
+            # slice of the column gradients is contiguous over channels
+            k = self.KSIZE
+            wmat = params.values[f"{self.name}.W"].reshape(self.out_ch, self.in_ch, k, k)
+            return self._col2im(dflat @ wmat.transpose(0, 2, 3, 1).reshape(self.out_ch, -1),
+                                x_shape)
 
 
 class MaxPool2d(Layer):
-    """2x2 max pooling, stride 2. Ties break toward the first maximum."""
+    """2x2 max pooling, stride 2, over the four strided quarter-views of the
+    input, so the output keeps the input's memory layout. Ties break toward
+    the first maximum in window order (0,0), (0,1), (1,0), (1,1)."""
 
     def forward(self, x, params, cache):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ShapeMismatchError(self.name, f"spatial dims must be even, got {x.shape}")
-        ho, wo = h // 2, w // 2
-        windows = (x.reshape(n, c, ho, 2, wo, 2)
-                    .transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(n, c, ho, wo, 4))
-        idx = windows.argmax(axis=-1)
-        cache[self.name] = (idx, x.shape)
-        return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+        q00, q01, q10, q11 = (x[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1))
+        # strict comparisons: a tie keeps the earlier element
+        top_right = q01 > q00
+        top = np.where(top_right, q01, q00)
+        bottom_right = q11 > q10
+        bottom = np.where(bottom_right, q11, q10)
+        lower = bottom > top
+        cache[self.name] = (top_right, bottom_right, lower, x.shape)
+        return np.where(lower, bottom, top)
 
     def backward(self, dout, params, cache, grads):
-        idx, x_shape = cache[self.name]
-        n, c, h, w = x_shape
-        ho, wo = h // 2, w // 2
-        dwin = np.zeros((n, c, ho, wo, 4), dtype=dout.dtype)
-        np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-        return (dwin.reshape(n, c, ho, wo, 2, 2)
-                    .transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(n, c, h, w))
+        top_right, bottom_right, lower, (n, c, h, w) = cache[self.name]
+        dx = np.zeros((n, h, w, c), dtype=dout.dtype).transpose(0, 3, 1, 2)
+        upper = ~lower
+        for (di, dj), picked in (((0, 0), upper & ~top_right), ((0, 1), upper & top_right),
+                                 ((1, 0), lower & ~bottom_right), ((1, 1), lower & bottom_right)):
+            np.copyto(dx[:, :, di::2, dj::2], dout, where=picked)
+        return dx
 
 
 class Flatten(Layer):
+    """(N, ...) -> (N, features) in C order of the logical shape; for a
+    channels-last conv output this is the one copy the dense layers need."""
+
     def forward(self, x, params, cache):
         cache[self.name] = x.shape
         return x.reshape(x.shape[0], -1)
@@ -461,9 +519,13 @@ def loss_and_grad(params: ModelParams, arch: Architecture, x, y,
     dlogits[np.arange(n), yb] -= 1.0
     dlogits /= n
     grads = replace(params, vector=np.empty_like(params.vector))
+    # backward stops at the first weighted layer: the input needs no gradient
+    plan = _plan(arch)
+    first = next(i for i, layer in enumerate(plan) if layer.weighted)
     d = dlogits
-    for layer in reversed(_plan(arch)):
+    for layer in reversed(plan[first + 1:]):
         d = layer.backward(d, params, caches, grads)
+    plan[first].backward(d, params, caches, grads, input_grad=False)
     return loss, grads
 
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fedcond.config import ConfigError, ExperimentConfig, SuiteConfig
-from fedcond.experiment import (StageError, fingerprint_only, reaggregate,
-                                run_experiment, run_suite)
+from fedcond.experiment import (StageError, build_partition, fingerprint_only,
+                                load_dataset_pair, reaggregate, run_experiment,
+                                run_suite)
 from fedcond.federation import STRATEGY_KINDS, StrategyConfig, child_seed
 from fedcond.report import RunReport
 
@@ -180,6 +182,53 @@ def test_multi_round_run_matches_pinned_digests(tmp_path):
     run_experiment(ExperimentConfig.from_dict(MULTI_ROUND), out_dir=tmp_path)
     for name, digest in MULTI_ROUND_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# A CNN run small enough for tier-1. Batch size 7 over client shards of 15
+# and a pooled set of 60 gives minibatches of 7, 4 and 1 samples; at size 1
+# the conv GEMMs are small enough for OpenBLAS kernels whose rounding depends
+# on operand memory order. The train log's losses carry full float64
+# precision, so it moves on any last-bit change in a gradient.
+CNN_RUN = {
+    "name": "cnn-pin",
+    "seed": 0,
+    "dataset": {"kind": "glyphs", "name": "glyphs", "train_per_class": 6,
+                "test_per_class": 4, "per_class_cap": None},
+    "heterogeneity": {"family": "E2b", "K": 2, "clients_per_cluster": 2},
+    "stats": {"l": 8},
+    "training": {"architecture": "mnist_cnn", "hidden_dim": 16, "epochs": 2,
+                 "batch_size": 7},
+    "strategies": ["conditional", "fedavg", "ditto"],
+}
+
+# Recorded like MULTI_ROUND_SHA256, with one BLAS thread: OpenBLAS rounds
+# some conv weight-gradient GEMMs differently at different thread counts,
+# which moves the train log's last bits (the CSVs agree at 1 and 2 threads).
+CNN_RUN_SHA256 = {
+    "summary.csv": "9d61b2ac8c9fe5ca0c65290d4e6572976f0cd0be66d236414ee3c67f0d0d3433",
+    "detail.csv": "0bba12d01f158a26957622529fd8e4dda5d949554ae44d8d1f13c48a10a54d6d",
+    "train_log.jsonl": "2b564d98a21f8f07451a44cba767b97cb4b8662957cc340c05f6c4adbada120e",
+}
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
+
+
+def test_cnn_run_matches_pinned_digests(tmp_path):
+    cfg = ExperimentConfig.from_dict(CNN_RUN)
+    shards = build_partition(cfg, load_dataset_pair(cfg.dataset, cfg.seed))
+    batch = cfg.training.batch_size
+    pools = [len(s.train) for s in shards] + [sum(len(s.train) for s in shards)]
+    sizes = {min(batch, n - start) for n in pools for start in range(0, n, batch)}
+    assert 1 in sizes and any(s % 2 and s > 1 for s in sizes), sizes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CNN_RUN))
+    r = subprocess.run([sys.executable, "-m", "fedcond.cli", "run", str(cfg_path),
+                        "--out", str(tmp_path / "out")], capture_output=True,
+                       text=True, env=dict(os.environ, **ONE_BLAS_THREAD))
+    assert r.returncode == 0, r.stderr
+    for name, digest in CNN_RUN_SHA256.items():
+        got = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        assert got == digest, name
 
 
 def test_rerun_from_embedded_report_config_reproduces_accuracies(tiny_run, tmp_path):
@@ -409,8 +458,10 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
     ({"seed": True}, "seed must be an integer, got True"),
     ({"base": [1]}, "suite base must be an object, got [1]"),
     (5, "a suite config must be a JSON object"),
+    ({"grid": {"heterogeneity.K": [], "training.epochs": [1]}},
+     "suite grid lists no values for heterogeneity.K; the suite would run nothing"),
 ], ids=["grid-scalar", "grid-list", "grid-string", "seed-str", "seed-bool",
-        "base-list", "document-number"])
+        "base-list", "document-number", "grid-empty-list"])
 def test_cli_suite_rejects_malformed_document(tmp_path, override, message):
     # a dict is merged into a valid suite document; anything else replaces it
     doc = (dict(suite_doc({"heterogeneity.K": [2]}), **override)

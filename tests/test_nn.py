@@ -363,3 +363,167 @@ def test_sgd_step_rejects_velocity_of_another_architecture():
     nn.sgd_step(small, small.copy(), opt)
     with pytest.raises(ValueError, match="different architecture"):
         nn.sgd_step(large, large.copy(), opt)
+
+
+# ------------------------------------------- conv stack against NCHW einsum
+# The oracle is the plain NCHW formulation of the same layers: Conv2d as
+# three einsums over (n, c*k*k, h*w) columns, MaxPool2d as an argmax over
+# reshaped 2x2 windows. The engine must match it bit for bit, whatever the
+# memory layout of the arrays it is handed.
+
+class OracleConv2d(nn.Layer):
+    KSIZE = 3
+    PAD = 1
+
+    def __init__(self, name, in_ch, out_ch):
+        self.name = name
+        self.in_ch = in_ch
+        self.out_ch = out_ch
+
+    def _im2col(self, x):
+        n, c, h, w = x.shape
+        k, p = self.KSIZE, self.PAD
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
+
+    def _col2im(self, dcols, x_shape):
+        n, c, h, w = x_shape
+        k, p = self.KSIZE, self.PAD
+        dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
+        shifted = np.ascontiguousarray(dcols).reshape(n, c, k, k, h, w)
+        for di in range(k):
+            for dj in range(k):
+                dxp[:, :, di:di + h, dj:dj + w] += shifted[:, :, di, dj]
+        return dxp[:, :, p:p + h, p:p + w]
+
+    def forward(self, x, params, cache):
+        n, _, h, w = x.shape
+        cols = self._im2col(x)
+        cache[self.name] = (cols, x.shape)
+        wmat = params.values[f"{self.name}.W"]
+        b = params.values[f"{self.name}.b"]
+        out = np.einsum("oi,nij->noj", wmat, cols, optimize=True)
+        out += b[None, :, None]
+        return out.reshape(n, self.out_ch, h, w)
+
+    def backward(self, dout, params, cache, grads):
+        cols, x_shape = cache[self.name]
+        n, _, h, w = x_shape
+        dflat = dout.reshape(n, self.out_ch, h * w)
+        wmat = params.values[f"{self.name}.W"]
+        grads.values[f"{self.name}.W"][...] = np.einsum("noj,nij->oi", dflat, cols,
+                                                        optimize=True)
+        grads.values[f"{self.name}.b"][...] = dflat.sum(axis=(0, 2))
+        dcols = np.einsum("oi,noj->nij", wmat, dflat, optimize=True)
+        return self._col2im(dcols, x_shape)
+
+
+class OracleMaxPool2d(nn.Layer):
+    def forward(self, x, params, cache):
+        n, c, h, w = x.shape
+        ho, wo = h // 2, w // 2
+        windows = (x.reshape(n, c, ho, 2, wo, 2)
+                    .transpose(0, 1, 2, 4, 3, 5)
+                    .reshape(n, c, ho, wo, 4))
+        idx = windows.argmax(axis=-1)
+        cache[self.name] = (idx, x.shape)
+        return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+
+    def backward(self, dout, params, cache, grads):
+        idx, x_shape = cache[self.name]
+        n, c, h, w = x_shape
+        ho, wo = h // 2, w // 2
+        dwin = np.zeros((n, c, ho, wo, 4), dtype=dout.dtype)
+        np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
+        return (dwin.reshape(n, c, ho, wo, 2, 2)
+                    .transpose(0, 1, 2, 4, 3, 5)
+                    .reshape(n, c, h, w))
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def channels_last_view(x):
+    """The values of NCHW `x`, as an (N, C, H, W) view of (N, H, W, C) memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def run_layer(layer, x, dout, params=None):
+    """Forward then backward; returns (output, dx, grads or None)."""
+    cache = {}
+    out = layer.forward(x, params, cache)
+    grads = None if params is None else params.from_flat(np.empty_like(params.vector))
+    return out, layer.backward(dout, params, cache, grads), grads
+
+
+CONV_SHAPES = [(1, 32, 28), (32, 64, 14)]  # conv1 and conv2 of mnist_cnn
+BATCH_SIZES = [1, 2, 17, 64]
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+@pytest.mark.parametrize("in_ch, out_ch, size", CONV_SHAPES, ids=["conv1", "conv2"])
+def test_conv2d_matches_einsum_oracle_bit_for_bit(in_ch, out_ch, size, n):
+    rng = np.random.default_rng(n)
+    layer = nn.Conv2d("c", in_ch, out_ch)
+    values = layer.init(rng)
+    values["c.b"] = rng.standard_normal(out_ch)
+    params = nn.ModelParams("t", np.concatenate([v.ravel() for v in values.values()]),
+                            tuple((k, v.shape) for k, v in values.items()))
+    x = rng.standard_normal((n, in_ch, size, size))
+    dout = rng.standard_normal((n, out_ch, size, size))
+    want_out, want_dx, want = run_layer(OracleConv2d("c", in_ch, out_ch), x, dout, params)
+    for xs, douts in [(x, dout), (channels_last_view(x), channels_last_view(dout))]:
+        out, dx, got = run_layer(layer, xs, douts, params)
+        assert_bits_equal(out, want_out)
+        assert_bits_equal(dx, want_dx)
+        assert_bits_equal(got.values["c.W"], want.values["c.W"])
+        assert_bits_equal(got.values["c.b"], want.values["c.b"])
+
+
+def pooling_input(rng, shape):
+    """ReLU'd normals (so +0.0 and -0.0 zeros), with some 2x2 blocks all
+    zero and some holding one value twice, so that windows tie."""
+    x = rng.standard_normal(shape)
+    x = x * (x > 0)
+    n, c, h, w = shape
+    blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    blocks[rng.random(blocks.shape[:4]) < 0.2] = 0.0
+    twice = rng.random(blocks.shape[:4]) < 0.2
+    blocks[..., 1, 1][twice] = blocks[..., 0, 0][twice]
+    blocks[..., 1, 0][twice] = blocks[..., 0, 1][twice]
+    return x
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+@pytest.mark.parametrize("c, size", [(32, 28), (64, 14)], ids=["pool1", "pool2"])
+def test_maxpool2d_matches_argmax_oracle_bit_for_bit(c, size, n):
+    rng = np.random.default_rng(n)
+    x = pooling_input(rng, (n, c, size, size))
+    dout = rng.standard_normal((n, c, size // 2, size // 2))
+    want_out, want_dx, _ = run_layer(OracleMaxPool2d("p"), x, dout)
+    for xs, douts in [(x, dout), (channels_last_view(x), channels_last_view(dout))]:
+        out, dx, _ = run_layer(nn.MaxPool2d("p"), xs, douts)
+        assert_bits_equal(out, want_out)
+        assert_bits_equal(dx, want_dx)
+
+
+def test_cnn_loss_and_grad_folds_columns_back_for_conv2_only(monkeypatch):
+    calls = []
+    col2im = nn.Conv2d._col2im
+
+    def spy(self, *args):
+        calls.append(self.name)
+        return col2im(self, *args)
+
+    monkeypatch.setattr(nn.Conv2d, "_col2im", spy)
+    rng = np.random.default_rng(3)
+    arch = nn.cnn_architecture(4, hidden_dim=6)
+    params = nn.init_params(arch, 0)
+    for n in (1, 3):
+        calls.clear()
+        nn.loss_and_grad(params, arch, rng.random((n, 784)), rng.integers(0, 4, n))
+        assert calls == ["conv2"]
