@@ -31,7 +31,7 @@ from .heterogeneity import (ClientShard, class_blocks, paired_covariate_sets,
 from .metrics import compute_ari
 from .nn import Architecture, cnn_architecture, mlp_architecture
 from .report import (PROVENANCE, RunReport, StrategyResult, aggregate_reports,
-                     build_identifier, emit_report)
+                     build_identifier, emit_report, thread_env)
 from .stats import fingerprint_all
 
 
@@ -192,7 +192,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             config=config.to_dict(),
             provenance=dict(PROVENANCE,
                             round_budget=f"{config.training.epochs}x1",
-                            lr_schedule=config.training.lr_schedule),
+                            lr_schedule=config.training.lr_schedule,
+                            thread_env=thread_env()),
             dataset=config.dataset.name,
             family=config.heterogeneity.family,
             cluster_count=k_total,

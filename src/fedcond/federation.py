@@ -154,10 +154,16 @@ def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     (default `cfg.local_epochs_per_round`) from its start parameters (default
     the seeded init for all), drawing batches from its own generator seeded
     with the run seed. Momentum resets with each broadcast unless
-    `keep_momentum`. `mix(trained, lr)` turns the clients' trained models
-    into the next round's starts; `round_loss` of the clients' mean training
-    losses is logged. Runs `rounds` rounds (default `cfg.rounds`) and
-    returns the last mix's output and the log records.
+    `keep_momentum`. The trained models go into one `(clients, P)` block
+    allocated for the round, row i holding client i, so `train_sgd`'s copy is
+    freed as soon as the client is done. `mix(trained, block, lr)`, given
+    the rows as `ModelParams` views and the block itself, returns the next
+    round's starts; it may overwrite the block (DAC mixes it in place). The
+    previous round's starts are released before the mix, so with DAC's
+    momentum N clients hold about 3 blocks: velocities, this round's block
+    and the mixed output. `round_loss` of the clients' mean training losses
+    is logged. Runs `rounds` rounds (default `cfg.rounds`) and returns the
+    last mix's output and the log records.
     """
     rounds = rounds or cfg.rounds
     epochs_per_round = epochs_per_round or cfg.local_epochs_per_round
@@ -168,6 +174,7 @@ def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     records: list[dict] = []
     for rnd in range(rounds):
         lr = lr_at(opt.learning_rate, rnd, rounds, cfg.lr_schedule)
+        block = np.empty((len(shards), starts[0].vector.size))
         trained, losses = [], []
         for i, shard in enumerate(shards):
             state = states[i] if keep_momentum else opt.clone_config()
@@ -175,10 +182,13 @@ def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
             params, epoch_losses = train_sgd(starts[i], arch, shard.train.X,
                                              shard.train.y, state,
                                              epochs_per_round, rngs[i])
-            trained.append(params)
+            block[i] = params.vector
+            trained.append(params.from_flat(block[i]))
             losses.append(np.mean(epoch_losses))
+        del starts  # the previous round's models: the mix output replaces them
         loss = round_loss(losses)
-        starts = mix(trained, lr)
+        starts = mix(trained, block, lr)
+        del trained, block  # whatever the mix output still needs, it references
         _emit(log_sink, records, {"round": rnd, "strategy": cfg.kind,
                                   "mean_train_loss": loss})
     return starts, records
@@ -222,7 +232,7 @@ def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     """Each client trains independently on its own shard: `epochs` rounds of
     one pass, mixed with the identity."""
     params, records = _run_rounds(shards, arch, opt, cfg, seed,
-                                  lambda trained, lr: trained, log_sink,
+                                  lambda trained, block, lr: trained, log_sink,
                                   rounds=cfg.epochs, epochs_per_round=1,
                                   keep_momentum=True)
     return TrainedOutcome("local", arch, _by_client(shards, params), log=records)
@@ -234,7 +244,7 @@ def train_fedavg(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
     weights = [len(s.train) for s in shards]
     params, records = _run_rounds(
         shards, arch, opt, cfg, seed,
-        lambda trained, lr: [average_params(trained, weights)] * len(trained),
+        lambda trained, block, lr: [average_params(trained, weights)] * len(trained),
         log_sink, round_loss=lambda losses: float(np.average(losses, weights=weights)))
     return TrainedOutcome("fedavg", arch, _by_client(shards, params), log=records)
 
@@ -253,7 +263,7 @@ def train_gossip(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
         raise ValueError("gossip needs at least 2 clients")
     match_rng = np.random.default_rng(child_seed(seed, 0x6055))
 
-    def mix(trained, lr):
+    def mix(trained, block, lr):
         mixed = list(trained)
         pairs = _random_matching(len(trained), match_rng)
         if cfg.gossip_pairs_per_round is not None:
@@ -323,7 +333,7 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
                      for s in shards]
         return [models[h] for h in assign]
 
-    def mix(trained, lr):
+    def mix(trained, block, lr):
         for h in range(K):
             members = [i for i, a in enumerate(assign) if a == h]
             if members:
@@ -345,9 +355,20 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
                           assignments=_by_client(shards, assign), log=records)
 
 
+NORM_CHUNK_ROWS = 16
+
+
+def _row_norms(flat: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(flat, axis=1)`, bit for bit, a few rows at a time so
+    the squares never take a full (N, P) temporary: each row's sum of
+    squares is reduced on its own, whichever rows share the chunk."""
+    return np.concatenate([np.linalg.norm(flat[i:i + NORM_CHUNK_ROWS], axis=1)
+                           for i in range(0, flat.shape[0], NORM_CHUNK_ROWS)])
+
+
 def _cosine_weight_matrix(flat: np.ndarray, tau: float) -> np.ndarray:
     """Row-softmax of pairwise parameter cosines / tau. `flat` is (N, P)."""
-    norms = np.linalg.norm(flat, axis=1)
+    norms = _row_norms(flat)
     if (norms == 0.0).any():
         log.warning("zero-norm parameter vector; treating its cosine similarities as 0")
     safe = np.where(norms == 0.0, 1.0, norms)
@@ -359,6 +380,21 @@ def _cosine_weight_matrix(flat: np.ndarray, tau: float) -> np.ndarray:
     z -= z.max(axis=1, keepdims=True)
     w = np.exp(z)
     return w / w.sum(axis=1, keepdims=True)
+
+
+def _dac_mix(block: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """One DAC mix of the (N, P) `block` of client models: the weights W of
+    `_cosine_weight_matrix` and the mixed models `block[:1] + W @ (block -
+    block[:1])`, which is exactly the identity when all rows coincide. The
+    difference is taken in place, so `block` is overwritten and the product
+    is the only (N, P) allocation; the IEEE operations and the GEMM operands
+    are those of the expression."""
+    weights = _cosine_weight_matrix(block, tau)
+    base = block[0].copy()
+    block -= base
+    mixed = weights @ block
+    mixed += base
+    return weights, mixed
 
 
 def _affinity_clusters(weights: np.ndarray) -> list[int]:
@@ -393,13 +429,10 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
         raise ValueError("dac needs at least 2 clients")
     weights_matrix = None
 
-    def mix(trained, lr):
+    def mix(trained, block, lr):
         nonlocal weights_matrix
-        flat = np.stack([p.vector for p in trained])
-        weights_matrix = _cosine_weight_matrix(flat, cfg.dac_temperature)
-        # offset form: exactly the identity when all peers coincide
-        mixed_flat = flat[:1] + weights_matrix @ (flat - flat[:1])
-        return [p.from_flat(row) for p, row in zip(trained, mixed_flat)]
+        weights_matrix, mixed = _dac_mix(block, cfg.dac_temperature)
+        return [p.from_flat(row) for p, row in zip(trained, mixed)]
 
     params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink,
                                   keep_momentum=True)
@@ -419,7 +452,7 @@ def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     personal_rngs = [np.random.default_rng(seed) for _ in shards]
     personal_states = [opt.clone_config() for _ in shards]
 
-    def mix(trained, lr):
+    def mix(trained, block, lr):
         global_params = average_params(trained, weights)
         # personal pull targets the freshly aggregated global parameters
         for i, shard in enumerate(shards):

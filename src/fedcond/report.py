@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,6 +27,16 @@ PROVENANCE = {
     "fedavg_weighting": "train-sample-count",
     "eval_weighting": "unweighted mean over clients",
 }
+
+
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def thread_env() -> dict[str, str | None]:
+    """The BLAS thread settings in the environment (None when unset). A run
+    is byte-reproducible only at a fixed BLAS thread count: the last bits of
+    some GEMMs depend on how the work is split."""
+    return {name: os.environ.get(name) for name in THREAD_ENV_VARS}
 
 
 def build_identifier() -> str:

@@ -21,7 +21,7 @@ from fedcond.experiment import (StageError, build_partition, fingerprint_only,
                                 load_dataset_pair, reaggregate, run_experiment,
                                 run_suite)
 from fedcond.federation import STRATEGY_KINDS, StrategyConfig, child_seed
-from fedcond.report import RunReport
+from fedcond.report import THREAD_ENV_VARS, RunReport, thread_env
 
 TINY = {
     "name": "tiny",
@@ -132,6 +132,18 @@ def test_report_echoes_config_and_decisions(tiny_run):
     assert "pixel_scaling" in report.provenance
     assert "pca_centering" in report.provenance
     assert report.provenance["eval_weighting"].startswith("unweighted")
+
+
+def test_report_records_blas_thread_env(tiny_run, monkeypatch):
+    _, out = tiny_run
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["provenance"]["thread_env"] == {
+        name: os.environ.get(name) for name in THREAD_ENV_VARS}
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert thread_env() == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None,
+                            "MKL_NUM_THREADS": None}
 
 
 def test_fingerprints_serialized_per_client(tiny_run):

@@ -1,6 +1,8 @@
 """Strategy tests: exact degeneracy identities, aggregation properties, and
 small end-to-end sanity runs on synthetic data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,10 +167,56 @@ def test_dac_identical_models_mix_to_identity():
     arch = arch_for(shards)
     params = nn.init_params(arch, 5)
     flat = np.tile(params.flatten(), (4, 1))
-    w = fed._cosine_weight_matrix(flat, tau=0.1)
+    w, mixed = fed._dac_mix(flat.copy(), tau=0.1)
     assert np.allclose(w, 0.25)
-    mixed = flat[:1] + w @ (flat - flat[:1])
     assert np.array_equal(mixed, flat)
+
+
+@pytest.mark.parametrize("shape", [(2, 7), (5, 40), (16, 300), (17, 1000),
+                                   (40, 4097)])
+def test_dac_in_place_mix_is_bit_exact(shape):
+    rng = np.random.default_rng(shape[0])
+    flat = 0.3 + rng.normal(scale=0.05, size=shape)
+    block = flat.copy()
+    w, mixed = fed._dac_mix(block, tau=0.1)
+    assert np.array_equal(w, fed._cosine_weight_matrix(flat, tau=0.1))
+    assert np.array_equal(mixed, flat[:1] + w @ (flat - flat[:1]))
+
+
+@pytest.mark.parametrize("rows", [1, 15, 16, 17, 40])
+def test_dac_chunked_norms_are_bit_exact(rows):
+    rng = np.random.default_rng(rows)
+    flat = rng.normal(size=(rows, 3001))
+    flat[rows // 2] = 0.0
+    norms = fed._row_norms(flat)
+    assert np.array_equal(norms, np.linalg.norm(flat, axis=1))
+    assert norms[rows // 2] == 0.0
+
+
+@pytest.mark.parametrize("rounds, max_blocks", [(1, 3.5), (3, 3.5)])
+def test_dac_peak_memory_is_about_three_blocks(rounds, max_blocks):
+    """DAC over 40 clients of a P = 118,282 MLP holds the clients'
+    velocities, one round's block of trained models and the mixed output:
+    about 3 blocks of 40 * P float64 at its peak, in any round."""
+    n_clients, d = 40, 784
+    rng = np.random.default_rng(0)
+    shards = []
+    for cid in range(n_clients):
+        data = [Dataset("noise", rng.random((8, d)), rng.integers(0, 10, 8), 10, (d,))
+                for _ in range(2)]
+        shards.append(ClientShard(client_id=cid, cluster_id=cid % 2,
+                                  train=data[0], test=data[1]))
+    arch = nn.mlp_architecture(d, 10, hidden_dim=128)
+    block_bytes = n_clients * nn.init_params(arch, 0).vector.size * 8
+    cfg = fed.StrategyConfig("dac", rounds=rounds)
+    tracemalloc.start()
+    try:
+        fed.train_dac(shards, arch, nn.OptimizerState(0.01, 0.9, batch_size=8),
+                      cfg, SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / block_bytes <= max_blocks
 
 
 def test_dac_small_temperature_concentrates_on_self():
