@@ -73,9 +73,6 @@ class Dataset:
         return Dataset(name or self.name, self.X[idx], self.y[idx],
                        self.class_count, self.input_shape)
 
-    def with_labels(self, y: np.ndarray, class_count: int) -> "Dataset":
-        return Dataset(self.name, self.X, y, class_count, self.input_shape)
-
 
 @dataclass(frozen=True)
 class DatasetPair:
@@ -123,7 +120,7 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
         raise IdxCountMismatchError(
             f"{images.shape[0]} images vs {labels.shape[0]} labels")
     n, h, w = images.shape
-    X = images.reshape(n, h * w).astype(np.float64) / 255.0
+    X = np.divide(images.reshape(n, h * w), 255.0, dtype=np.float64)
     y = labels.astype(np.int64)
     class_count = int(y.max()) + 1 if n else 0
     return Dataset(name, X, y, class_count, (h, w))
@@ -228,8 +225,10 @@ def rotate_rows(X: np.ndarray, shape: tuple[int, int], angle: int) -> np.ndarray
     if angle == 0:
         return X.copy()
     h, w = shape
-    imgs = X.reshape(-1, h, w)
-    return np.rot90(imgs, k=angle // 90, axes=(1, 2)).reshape(X.shape[0], -1).copy()
+    rotated = np.rot90(X.reshape(-1, h, w), k=angle // 90, axes=(1, 2))
+    out = np.empty(X.shape, dtype=X.dtype)
+    out.reshape(rotated.shape)[...] = rotated
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -297,37 +296,48 @@ def synth_glyphs(n_per_class: int, seed: int, name: str = "glyphs",
     """Seeded 28x28 digit-glyph dataset with per-sample variability.
 
     Each sample is a seven-segment digit with random translation (up to
-    +-5 px), random stroke intensity, occlusion blotches, and pixel noise, so
+    +-4 px), random stroke intensity, occlusion blotches, and pixel noise, so
     a pixel-space classifier genuinely needs many samples per class to cover
     the variation. `invert=True` flips the contrast (white background), which
     serves as a second visual domain for domain-shift experiments.
+
+    The random draws are made sample by sample in a fixed order (shift,
+    intensity, blotch count, each blotch's corner and value, noise); the
+    images are then built class by class in one vectorized pass.
     """
     if n_per_class <= 0:
         raise ValueError("n_per_class must be positive")
     rng = np.random.default_rng(seed)
     h, w = GLYPH_SHAPE
-    templates = [_glyph_template(d) for d in range(10)]
-    n = 10 * n_per_class
-    X = np.zeros((n, h * w))
-    y = np.zeros(n, dtype=np.int64)
-    row = 0
+    n = n_per_class
+    X = np.empty((10 * n, h * w))
+    y = np.repeat(np.arange(10, dtype=np.int64), n)
+    shifts = np.empty((n, 2), dtype=np.int64)
+    intensity = np.empty(n)
     for digit in range(10):
-        base = templates[digit]
-        for _ in range(n_per_class):
-            dy, dx = rng.integers(-_GLYPH_MAX_SHIFT, _GLYPH_MAX_SHIFT + 1, size=2)
-            img = np.roll(np.roll(base, dy, axis=0), dx, axis=1)
-            img = img * rng.uniform(0.75, 1.0)
-            # occasional occluding blotch so single segments are unreliable cues
+        rows = X[digit * n:(digit + 1) * n]
+        # occasional occluding blotches so single segments are unreliable
+        # cues, as (sample, row, col, value), kept in draw order
+        blotches = []
+        for i in range(n):
+            shifts[i] = rng.integers(-_GLYPH_MAX_SHIFT, _GLYPH_MAX_SHIFT + 1, size=2)
+            intensity[i] = rng.uniform(0.75, 1.0)
             for _ in range(rng.integers(0, 3)):
                 br, bc = rng.integers(0, h - 3), rng.integers(0, w - 3)
-                img[br:br + 3, bc:bc + 3] = rng.uniform(0.0, 0.7)
-            img = img + rng.normal(0.0, 0.06, size=img.shape)
-            img = np.clip(img, 0.0, 1.0)
-            if invert:
-                img = 1.0 - img
-            X[row] = img.ravel()
-            y[row] = digit
-            row += 1
+                blotches.append((i, br, bc, rng.uniform(0.0, 0.7)))
+            rows[i] = rng.normal(0.0, 0.06, size=h * w)
+        # np.roll by (dy, dx): pixel (r, c) comes from ((r - dy) % h, (c - dx) % w)
+        src_r = (np.arange(h) - shifts[:, :1]) % h
+        src_c = (np.arange(w) - shifts[:, 1:]) % w
+        imgs = _glyph_template(digit)[src_r[:, :, None], src_c[:, None, :]]
+        imgs *= intensity[:, None, None]
+        for i, br, bc, value in blotches:
+            imgs[i, br:br + 3, bc:bc + 3] = value
+        noise = rows.reshape(n, h, w)
+        np.add(imgs, noise, out=noise)
+        np.clip(noise, 0.0, 1.0, out=noise)
+        if invert:
+            np.subtract(1.0, noise, out=noise)
     return Dataset(name, X, y, 10, GLYPH_SHAPE)
 
 

@@ -45,13 +45,19 @@ class StageError(RuntimeError):
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, timings: dict[str, float] | None = None):
+    """Run one stage: a failure becomes a StageError naming it, and its wall
+    seconds are added to `timings[name]` when `timings` is given."""
+    start = time.perf_counter()
     try:
         yield
     except StageError:
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
+    finally:
+        if timings is not None:
+            timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
 # --------------------------------------------------------------------------
@@ -151,13 +157,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     config.validate()
     out = Path(out_dir or config.out_dir or Path("runs") / config.name)
     created: list[Path] = []
+    timings: dict[str, float] = {}
     try:
-        with _stage("dataset"):
+        with _stage("dataset", timings):
             pair = load_dataset_pair(config.dataset, config.seed)
-        with _stage("partition"):
+        with _stage("partition", timings):
             shards = build_partition(config, pair)
+            del pair  # every shard holds its own rows; no later stage reads the source
             base_arch, cond_arch = build_architectures(config, shards)
-        with _stage("fingerprint"):
+        with _stage("fingerprint", timings):
             fingerprints = fingerprint_all(shards, shards[0].train.class_count,
                                            l=config.stats.l)
 
@@ -179,10 +187,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
                 if cfg.kind == "ifca" and cfg.k_hypotheses is None:
                     cfg.k_hypotheses = k_total  # true cluster count provided
                 arch = cond_arch if cfg.kind == "conditional" else base_arch
-                with _stage(f"train:{cfg.kind}"):
+                with _stage(f"train:{cfg.kind}", timings):
                     outcome = run_strategy(shards, arch, opt, cfg, config.seed,
                                            log_sink=sink)
-                with _stage(f"evaluate:{cfg.kind}"):
+                with _stage(f"evaluate:{cfg.kind}", timings):
                     accs, mean_acc = evaluate(outcome, shards)
                 results.append(_strategy_result(outcome, shards, accs, mean_acc,
                                                 true_ids))
@@ -204,6 +212,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             results=results,
             wall_clock_sec=time.time() - t0,
             build=build_identifier(),
+            timings=timings,
         )
         with _stage("report"):
             created.extend(emit_report(report, out, formats=formats))
@@ -243,6 +252,7 @@ def fingerprint_only(config: ExperimentConfig, out_dir=None) -> Path:
         pair = load_dataset_pair(config.dataset, config.seed)
     with _stage("partition"):
         shards = build_partition(config, pair)
+        del pair
     with _stage("fingerprint"):
         fingerprints = fingerprint_all(shards, shards[0].train.class_count,
                                        l=config.stats.l)

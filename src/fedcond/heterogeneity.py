@@ -14,12 +14,13 @@ dataset's official train split and test shards from the official test split,
 both through the same transform, so each client is evaluated on data matching
 its own distribution. Within a cluster, samples are shuffled with a child seed
 derived from (seed, cluster_id) and dealt round-robin, giving equal shard
-sizes up to one sample.
+sizes up to one sample. Clusters are index arrays into the source, never
+copies of it: each shard is gathered from the source exactly once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,29 +133,45 @@ def _deal(n: int, clients: int, rng: np.random.Generator) -> list[np.ndarray]:
     return [order[j::clients] for j in range(clients)]
 
 
-def _make_cluster_shards(cluster_id: int, train: Dataset, test: Dataset,
-                         clients_per_cluster: int, seed: int,
-                         first_client_id: int) -> list[ClientShard]:
-    rng = _cluster_rng(seed, cluster_id)
-    train_hands = _deal(len(train), clients_per_cluster, rng)
-    test_hands = _deal(len(test), clients_per_cluster, rng)
-    shards = []
-    for j in range(clients_per_cluster):
-        shards.append(ClientShard(
-            client_id=first_client_id + j,
-            cluster_id=cluster_id,
-            train=train.take(train_hands[j]),
-            test=test.take(test_hands[j]),
-        ))
-    return shards
+@dataclass(frozen=True)
+class _Cluster:
+    """One cluster as row indices into a source pair. Each client shard is
+    gathered from the source once, at its composed indices, then rotated by
+    `angle` and relabeled by `rule`."""
+
+    source: DatasetPair
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    rule: LabelRule | None = None
+    angle: int = 0
 
 
-def _assemble(cluster_datasets: list[tuple[Dataset, Dataset]], clients_per_cluster: int,
+def _gather(ds: Dataset, idx: np.ndarray, rule: LabelRule | None,
+            angle: int) -> Dataset:
+    X, y = ds.X[idx], ds.y[idx]
+    if angle:
+        X = rotate_rows(X, ds.input_shape, angle)
+    if rule is None:
+        return Dataset(ds.name, X, y, ds.class_count, ds.input_shape)
+    return Dataset(ds.name, X, rule.apply(y), rule.arity, ds.input_shape)
+
+
+def _assemble(clusters: list[_Cluster], clients_per_cluster: int,
               seed: int) -> list[ClientShard]:
+    """Deal each cluster's rows round-robin to its clients; cluster k's
+    clients get ids k*clients_per_cluster onward."""
     shards = []
-    for cid, (tr, te) in enumerate(cluster_datasets):
-        shards.extend(_make_cluster_shards(cid, tr, te, clients_per_cluster, seed,
-                                           first_client_id=cid * clients_per_cluster))
+    for cid, c in enumerate(clusters):
+        rng = _cluster_rng(seed, cid)
+        train_hands = _deal(len(c.train_idx), clients_per_cluster, rng)
+        test_hands = _deal(len(c.test_idx), clients_per_cluster, rng)
+        for j in range(clients_per_cluster):
+            shards.append(ClientShard(
+                client_id=cid * clients_per_cluster + j,
+                cluster_id=cid,
+                train=_gather(c.source.train, c.train_idx[train_hands[j]], c.rule, c.angle),
+                test=_gather(c.source.test, c.test_idx[test_hands[j]], c.rule, c.angle),
+            ))
     return shards
 
 
@@ -174,9 +191,15 @@ def class_blocks(class_count: int, K: int) -> list[list[int]]:
     return blocks
 
 
-def _restrict_to_classes(ds: Dataset, classes: list[int]) -> Dataset:
-    mask = np.isin(ds.y, classes)
-    return ds.take(np.flatnonzero(mask))
+def _restrict_to_classes(ds: Dataset, classes: list[int]) -> np.ndarray:
+    """Row indices of `ds` whose label is in `classes`, ascending."""
+    return np.flatnonzero(np.isin(ds.y, classes))
+
+
+def _class_cluster(data: DatasetPair, classes: list[int],
+                   rule: LabelRule | None = None) -> _Cluster:
+    return _Cluster(data, _restrict_to_classes(data.train, classes),
+                    _restrict_to_classes(data.test, classes), rule)
 
 
 # --------------------------------------------------------------------------
@@ -187,9 +210,7 @@ def partition_label_shift(data: DatasetPair, K: int, clients_per_cluster: int,
                           seed: int) -> list[ClientShard]:
     """E1: cluster k gets the k-th contiguous block of classes."""
     blocks = class_blocks(data.train.class_count, K)
-    clusters = [(_restrict_to_classes(data.train, b), _restrict_to_classes(data.test, b))
-                for b in blocks]
-    return _assemble(clusters, clients_per_cluster, seed)
+    return _assemble([_class_cluster(data, b) for b in blocks], clients_per_cluster, seed)
 
 
 def partition_covariate_subclass(data: DatasetPair, superclass: LabelRule,
@@ -203,13 +224,7 @@ def partition_covariate_subclass(data: DatasetPair, superclass: LabelRule,
         if overlap:
             raise ValueError(f"subclass assignment overlaps on classes {sorted(overlap)}")
         seen.update(s)
-    clusters = []
-    for classes in subclass_sets:
-        tr = _restrict_to_classes(data.train, classes)
-        te = _restrict_to_classes(data.test, classes)
-        tr = tr.with_labels(superclass.apply(tr.y), superclass.arity)
-        te = te.with_labels(superclass.apply(te.y), superclass.arity)
-        clusters.append((tr, te))
+    clusters = [_class_cluster(data, classes, superclass) for classes in subclass_sets]
     return _assemble(clusters, clients_per_cluster, seed)
 
 
@@ -220,19 +235,12 @@ def partition_covariate_rotation(data: DatasetPair, K: int, clients_per_cluster:
         raise ValueError(f"rotation family supports K in [1, 4], got {K}")
     if len(data.train.input_shape) != 2:
         raise ValueError("rotation partitioning needs 2-D image data")
-    shape = data.train.input_shape
     # cluster membership: random equal split of the pool across clusters
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xE2B]))
-    clusters = []
     splits_train = np.array_split(rng.permutation(len(data.train)), K)
     splits_test = np.array_split(rng.permutation(len(data.test)), K)
-    for k in range(K):
-        angle = ROTATION_ORDER[k]
-        tr = data.train.take(splits_train[k])
-        te = data.test.take(splits_test[k])
-        tr = Dataset(tr.name, rotate_rows(tr.X, shape, angle), tr.y, tr.class_count, shape)
-        te = Dataset(te.name, rotate_rows(te.X, shape, angle), te.y, te.class_count, shape)
-        clusters.append((tr, te))
+    clusters = [_Cluster(data, splits_train[k], splits_test[k], angle=ROTATION_ORDER[k])
+                for k in range(K)]
     return _assemble(clusters, clients_per_cluster, seed)
 
 
@@ -243,17 +251,12 @@ def partition_concept_semantic(data: DatasetPair, rules: list[LabelRule],
     arities = {r.arity for r in rules}
     if len(arities) != 1:
         raise ValueError(f"label rules disagree on output arity: {sorted(arities)}")
-    arity = arities.pop()
     K = len(rules)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xE3A]))
     splits_train = np.array_split(rng.permutation(len(data.train)), K)
     splits_test = np.array_split(rng.permutation(len(data.test)), K)
-    clusters = []
-    for k, rule in enumerate(rules):
-        tr = data.train.take(splits_train[k])
-        te = data.test.take(splits_test[k])
-        clusters.append((tr.with_labels(rule.apply(tr.y), arity),
-                         te.with_labels(rule.apply(te.y), arity)))
+    clusters = [_Cluster(data, splits_train[k], splits_test[k], rule)
+                for k, rule in enumerate(rules)]
     return _assemble(clusters, clients_per_cluster, seed)
 
 
@@ -293,7 +296,8 @@ def partition_domain_shift(data_a: DatasetPair, data_b: DatasetPair,
         raise ValueError("domain-shift datasets must share class_count")
     if tuple(data_a.train.input_shape) != tuple(data_b.train.input_shape):
         raise ValueError("domain-shift datasets must share input_shape")
-    clusters = [(data_a.train, data_a.test), (data_b.train, data_b.test)]
+    clusters = [_Cluster(d, np.arange(len(d.train)), np.arange(len(d.test)))
+                for d in (data_a, data_b)]
     return _assemble(clusters, clients_per_cluster, seed)
 
 
@@ -312,7 +316,6 @@ def partition_combined(data: DatasetPair, concept_rules: list[LabelRule],
     arities = {r.arity for r in concept_rules}
     if len(arities) != 1:
         raise ValueError("concept rules disagree on output arity")
-    arity = arities.pop()
     seen: set[int] = set()
     for s in covariate_sets:
         overlap = seen.intersection(s)
@@ -320,21 +323,11 @@ def partition_combined(data: DatasetPair, concept_rules: list[LabelRule],
             raise ValueError(f"covariate sets overlap on classes {sorted(overlap)}")
         seen.update(s)
     C = len(covariate_sets)
-    shards: list[ClientShard] = []
-    for ci, rule in enumerate(concept_rules):
-        for vj, classes in enumerate(covariate_sets):
-            cluster_id = ci * C + vj
-            tr = _restrict_to_classes(data.train, classes)
-            te = _restrict_to_classes(data.test, classes)
-            tr = tr.with_labels(rule.apply(tr.y), arity)
-            te = te.with_labels(rule.apply(te.y), arity)
-            cluster_shards = _make_cluster_shards(
-                cluster_id, tr, te, clients_per_cluster, seed,
-                first_client_id=cluster_id * clients_per_cluster)
-            for s in cluster_shards:
-                s.concept_id = ci
-                s.covariate_id = vj
-            shards.extend(cluster_shards)
+    clusters = [_class_cluster(data, classes, rule)
+                for rule in concept_rules for classes in covariate_sets]
+    shards = _assemble(clusters, clients_per_cluster, seed)
+    for s in shards:
+        s.concept_id, s.covariate_id = divmod(s.cluster_id, C)
     return shards
 
 

@@ -75,6 +75,9 @@ class RunReport:
     results: list[StrategyResult]
     wall_clock_sec: float
     build: str
+    # wall seconds per stage: dataset, partition, fingerprint, train:<kind>
+    # and evaluate:<kind> (summed when a kind runs twice)
+    timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -65,6 +65,21 @@ def test_load_idx_count_mismatch(tmp_path):
         data.load_idx(ip, lp)
 
 
+def test_load_idx_scaling_matches_two_step_expression(tmp_path):
+    # load_idx divides in one float64 pass; the bits must equal those of
+    # the earlier astype(float64) / 255.0
+    imgs = np.random.default_rng(3).integers(0, 256, size=(40, 5, 6), dtype=np.uint8)
+    imgs[0] = 0
+    imgs[1] = 255
+    ip = write_bytes(tmp_path / "imgs", idx_images_blob(imgs))
+    lp = write_bytes(tmp_path / "labels", idx_labels_blob([i % 10 for i in range(40)]))
+    ds = data.load_idx(ip, lp)
+    expected = imgs.reshape(40, 30).astype(np.float64) / 255.0
+    assert ds.X.dtype == np.float64
+    assert np.array_equal(ds.X, expected)
+    assert np.array_equal(np.signbit(ds.X), np.signbit(expected))
+
+
 def test_idx_round_trip(tmp_path):
     ds = data.synth_glyphs(3, seed=0)
     data.write_idx(ds, tmp_path / "i", tmp_path / "l")
@@ -112,6 +127,17 @@ def test_rotate_rows_matches_per_image_rotation():
     rot = data.rotate_rows(X, (3, 4), 90)
     for i in range(5):
         expected = data.rotate_image(X[i].reshape(3, 4), 90).ravel()
+        assert np.array_equal(rot[i], expected)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("angle", [90, 180, 270])
+def test_rotate_rows_returns_a_fresh_c_ordered_copy(angle, order):
+    X = np.asarray(np.random.default_rng(1).random((5, 12)), order=order)
+    rot = data.rotate_rows(X, (3, 4), angle)
+    assert rot.flags.c_contiguous and not np.shares_memory(rot, X)
+    for i in range(5):
+        expected = data.rotate_image(X[i].reshape(3, 4), angle).ravel()
         assert np.array_equal(rot[i], expected)
 
 
@@ -166,6 +192,46 @@ def test_glyphs_invert_flips_contrast_keeps_labels():
     inv = data.synth_glyphs(5, seed=4, invert=True)
     assert np.allclose(plain.X + inv.X, 1.0)
     assert np.array_equal(plain.y, inv.y)
+
+
+def reference_synth_glyphs(n_per_class, seed, invert=False):
+    """The per-sample glyph loop that synth_glyphs replaced: the oracle for
+    its class-by-class construction."""
+    rng = np.random.default_rng(seed)
+    h, w = data.GLYPH_SHAPE
+    templates = [data._glyph_template(d) for d in range(10)]
+    n = 10 * n_per_class
+    X = np.zeros((n, h * w))
+    y = np.zeros(n, dtype=np.int64)
+    row = 0
+    for digit in range(10):
+        base = templates[digit]
+        for _ in range(n_per_class):
+            dy, dx = rng.integers(-4, 5, size=2)
+            img = np.roll(np.roll(base, dy, axis=0), dx, axis=1)
+            img = img * rng.uniform(0.75, 1.0)
+            for _ in range(rng.integers(0, 3)):
+                br, bc = rng.integers(0, h - 3), rng.integers(0, w - 3)
+                img[br:br + 3, bc:bc + 3] = rng.uniform(0.0, 0.7)
+            img = img + rng.normal(0.0, 0.06, size=img.shape)
+            img = np.clip(img, 0.0, 1.0)
+            if invert:
+                img = 1.0 - img
+            X[row] = img.ravel()
+            y[row] = digit
+            row += 1
+    return X, y
+
+
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("n_per_class", [1, 3, 40, 200])
+def test_glyphs_bit_identical_to_per_sample_reference(n_per_class, invert):
+    seed = 1000 + n_per_class
+    ds = data.synth_glyphs(n_per_class, seed=seed, invert=invert)
+    X, y = reference_synth_glyphs(n_per_class, seed, invert=invert)
+    assert np.array_equal(ds.X, X)
+    assert np.array_equal(np.signbit(ds.X), np.signbit(X))
+    assert np.array_equal(ds.y, y)
 
 
 def test_glyph_pair_train_test_disjoint_seeds():

@@ -146,6 +146,42 @@ def test_report_records_blas_thread_env(tiny_run, monkeypatch):
                             "MKL_NUM_THREADS": None}
 
 
+def test_report_records_stage_timings(tiny_run):
+    report, out = tiny_run
+    doc = json.loads((out / "report.json").read_text())
+    kinds = ["local", "fedavg", "oracle", "conditional"]
+    expected = {"dataset", "partition", "fingerprint",
+                *(f"train:{k}" for k in kinds), *(f"evaluate:{k}" for k in kinds)}
+    assert set(doc["timings"]) == expected
+    assert all(isinstance(v, float) and v >= 0.0 for v in doc["timings"].values())
+    assert report.timings == doc["timings"]
+
+
+def test_source_pair_is_released_before_training(monkeypatch, tmp_path):
+    import weakref
+
+    from fedcond import experiment
+
+    refs, alive_at_train = [], []
+    load, run = experiment.load_dataset_pair, experiment.run_strategy
+
+    def spy_load(*args, **kwargs):
+        pair = load(*args, **kwargs)
+        refs.append(weakref.ref(pair))
+        return pair
+
+    def spy_run(*args, **kwargs):
+        if not alive_at_train:
+            alive_at_train.append(refs[0]() is not None)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "load_dataset_pair", spy_load)
+    monkeypatch.setattr(experiment, "run_strategy", spy_run)
+    run_experiment(tiny_config(), out_dir=tmp_path)
+    assert len(refs) == 1
+    assert alive_at_train == [False]
+
+
 def test_fingerprints_serialized_per_client(tiny_run):
     report, _ = tiny_run
     assert len(report.fingerprints) == 4

@@ -266,3 +266,135 @@ def test_cluster_child_seeds_differ_by_cluster():
     a = het._cluster_rng(5, 0).integers(0, 2**32)
     b = het._cluster_rng(5, 1).integers(0, 2**32)
     assert a != b
+
+
+# ------------------------------------------- one gather per shard: oracle
+
+def _reference_restrict(ds, classes):
+    return ds.take(np.flatnonzero(np.isin(ds.y, classes)))
+
+
+def _reference_rotate(ds, angle):
+    h, w = ds.input_shape
+    X = np.rot90(ds.X.reshape(-1, h, w), k=angle // 90, axes=(1, 2)).reshape(len(ds), -1)
+    return Dataset(ds.name, X, ds.y, ds.class_count, ds.input_shape)
+
+
+def _reference_split(pair, K, tag, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
+    return (np.array_split(rng.permutation(len(pair.train)), K),
+            np.array_split(rng.permutation(len(pair.test)), K))
+
+
+def reference_partition(clusters, clients_per_cluster, seed):
+    """The two-stage gather the generators replaced: each cluster is first
+    materialized as a Dataset pair, and each shard is then taken from that
+    copy. Returns (client, cluster, train, test) per shard."""
+    shards = []
+    for cid, (tr, te) in enumerate(clusters):
+        rng = het._cluster_rng(seed, cid)
+        train_hands = het._deal(len(tr), clients_per_cluster, rng)
+        test_hands = het._deal(len(te), clients_per_cluster, rng)
+        for j in range(clients_per_cluster):
+            shards.append((cid * clients_per_cluster + j, cid,
+                           tr.take(train_hands[j]), te.take(test_hands[j])))
+    return shards
+
+
+def _relabeled(ds, rule):
+    return Dataset(ds.name, ds.X, rule.apply(ds.y), rule.arity, ds.input_shape)
+
+
+def _family_cases(pair, other):
+    """(name, shards from the generator, reference clusters, cpc, seed,
+    covariate cluster count or None) for every family."""
+    cases = []
+    blocks = het.class_blocks(10, 3)
+    cases.append(("E1", het.partition_label_shift(pair, 3, 4, seed=1),
+                  [(_reference_restrict(pair.train, b), _reference_restrict(pair.test, b))
+                   for b in blocks], 4, 1, None))
+    sets, parity = [[0, 1, 8, 9], [2, 3, 4, 5]], het.parity_rule(10)
+    cases.append(("E2a", het.partition_covariate_subclass(pair, parity, sets, 3, seed=2),
+                  [(_relabeled(_reference_restrict(pair.train, s), parity),
+                    _relabeled(_reference_restrict(pair.test, s), parity)) for s in sets],
+                  3, 2, None))
+    tr_splits, te_splits = _reference_split(pair, 4, 0xE2B, 3)
+    cases.append(("E2b", het.partition_covariate_rotation(pair, 4, 3, seed=3),
+                  [(_reference_rotate(pair.train.take(tr_splits[k]), het.ROTATION_ORDER[k]),
+                    _reference_rotate(pair.test.take(te_splits[k]), het.ROTATION_ORDER[k]))
+                   for k in range(4)], 3, 3, None))
+    rules = [het.parity_rule(10), het.threshold_rule(10, 5)]
+    tr_splits, te_splits = _reference_split(pair, 2, 0xE3A, 4)
+    cases.append(("E3a", het.partition_concept_semantic(pair, rules, 3, seed=4),
+                  [(_relabeled(pair.train.take(tr_splits[k]), r),
+                    _relabeled(pair.test.take(te_splits[k]), r))
+                   for k, r in enumerate(rules)], 3, 4, None))
+    perms = [het.identity_rule(10)] + het.sample_derangements(10, 2, seed=5)
+    tr_splits, te_splits = _reference_split(pair, 3, 0xE3A, 5)
+    cases.append(("E3b", het.partition_concept_permutation(pair, 3, 2, seed=5),
+                  [(_relabeled(pair.train.take(tr_splits[k]), r),
+                    _relabeled(pair.test.take(te_splits[k]), r))
+                   for k, r in enumerate(perms)], 2, 5, None))
+    cases.append(("E4a", het.partition_domain_shift(pair, other, 3, seed=6),
+                  [(pair.train, pair.test), (other.train, other.test)], 3, 6, None))
+    covs = het.paired_covariate_sets(10, 3)
+    cases.append(("E4b", het.partition_combined(pair, rules, covs, 2, seed=7),
+                  [(_relabeled(_reference_restrict(pair.train, c), r),
+                    _relabeled(_reference_restrict(pair.test, c), r))
+                   for r in rules for c in covs], 2, 7, 3))
+    return cases
+
+
+def test_every_family_matches_two_stage_reference():
+    pair = tiny_pair()
+    other = DatasetPair(train=synth_glyphs(30, seed=5, invert=True),
+                        test=synth_glyphs(10, seed=6, invert=True))
+    for name, shards, clusters, cpc, seed, C in _family_cases(pair, other):
+        expected = reference_partition(clusters, cpc, seed)
+        assert len(shards) == len(expected), name
+        for s, (client, cluster, tr, te) in zip(shards, expected):
+            assert (s.client_id, s.cluster_id) == (client, cluster), name
+            if C is None:
+                assert (s.concept_id, s.covariate_id) == (None, None), name
+            else:
+                assert (s.concept_id, s.covariate_id) == divmod(cluster, C), name
+            for got, want in ((s.train, tr), (s.test, te)):
+                assert np.array_equal(got.X, want.X), name
+                assert np.array_equal(got.y, want.y), name
+                assert got.class_count == want.class_count, name
+                assert got.input_shape == want.input_shape, name
+
+
+# ------------------------------------------- one gather per shard: memory
+
+@pytest.mark.parametrize("heterogeneity", [
+    {"family": "E1", "K": 2, "clients_per_cluster": 5},
+    {"family": "E2b", "K": 2, "clients_per_cluster": 4},
+])
+def test_partition_peak_is_about_the_shards_it_returns(heterogeneity):
+    import tracemalloc
+
+    from fedcond.config import ExperimentConfig
+    from fedcond.experiment import build_partition
+
+    config = ExperimentConfig.from_dict({
+        "name": "mem", "seed": 2,
+        "dataset": {"kind": "glyphs", "name": "glyphs", "train_per_class": 100,
+                    "test_per_class": 50, "per_class_cap": None},
+        "heterogeneity": heterogeneity,
+        "strategies": ["local"],
+    })
+    pair = tiny_pair(100, 50)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        shards = build_partition(config, pair)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    shard_bytes = sum(d.X.nbytes + d.y.nbytes for s in shards for d in (s.train, s.test))
+    # the source pair is covered exactly once by the shards here
+    assert shard_bytes == pair.train.X.nbytes + pair.train.y.nbytes \
+        + pair.test.X.nbytes + pair.test.y.nbytes
+    assert peak <= 1.3 * shard_bytes, peak / shard_bytes
