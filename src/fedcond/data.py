@@ -112,17 +112,23 @@ def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
     return data.reshape(dims)
 
 
-def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
-    """Load an IDX image/label file pair into a Dataset (pixels / 255)."""
+def load_idx(images_path, labels_path, name: str = "idx",
+             per_class_cap: int | None = None, seed: int = 0) -> Dataset:
+    """Load an IDX image/label file pair into a Dataset (pixels / 255). With
+    `per_class_cap`, keep the rows `subsample_per_class` would keep with
+    `seed`, chosen from the labels so that only they become float64."""
     images = _read_idx(Path(images_path), IDX_IMAGES_MAGIC)
     labels = _read_idx(Path(labels_path), IDX_LABELS_MAGIC)
     if images.shape[0] != labels.shape[0]:
         raise IdxCountMismatchError(
             f"{images.shape[0]} images vs {labels.shape[0]} labels")
     n, h, w = images.shape
-    X = np.divide(images.reshape(n, h * w), 255.0, dtype=np.float64)
     y = labels.astype(np.int64)
     class_count = int(y.max()) + 1 if n else 0
+    if per_class_cap is not None:
+        keep = per_class_indices(y, class_count, per_class_cap, seed)
+        images, y = images[keep], y[keep]
+    X = np.divide(images.reshape(len(y), h * w), 255.0, dtype=np.float64)
     return Dataset(name, X, y, class_count, (h, w))
 
 
@@ -140,11 +146,14 @@ def write_idx(dataset: Dataset, images_path, labels_path) -> None:
 
 
 def load_idx_pair(root, train_images, train_labels, test_images, test_labels,
-                  name: str) -> DatasetPair:
+                  name: str, per_class_cap: int | None = None,
+                  seeds: tuple[int, int] = (0, 0)) -> DatasetPair:
     root = Path(root)
     return DatasetPair(
-        train=load_idx(root / train_images, root / train_labels, name=name),
-        test=load_idx(root / test_images, root / test_labels, name=name),
+        train=load_idx(root / train_images, root / train_labels, name=name,
+                       per_class_cap=per_class_cap, seed=seeds[0]),
+        test=load_idx(root / test_images, root / test_labels, name=name,
+                      per_class_cap=per_class_cap, seed=seeds[1]),
     )
 
 
@@ -152,9 +161,12 @@ MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
-def load_mnist_like(root, name: str = "mnist") -> DatasetPair:
-    """Load MNIST or Fashion-MNIST from the conventional four IDX files."""
-    return load_idx_pair(root, *MNIST_FILES, name=name)
+def load_mnist_like(root, name: str = "mnist", per_class_cap: int | None = None,
+                    seeds: tuple[int, int] = (0, 0)) -> DatasetPair:
+    """Load MNIST or Fashion-MNIST from the conventional four IDX files, each
+    split capped as `load_idx` caps it, with its own seed."""
+    return load_idx_pair(root, *MNIST_FILES, name=name,
+                         per_class_cap=per_class_cap, seeds=seeds)
 
 
 # --------------------------------------------------------------------------
@@ -235,19 +247,25 @@ def rotate_rows(X: np.ndarray, shape: tuple[int, int], angle: int) -> np.ndarray
 # per-class subsampling
 # --------------------------------------------------------------------------
 
-def subsample_per_class(dataset: Dataset, cap: int, seed: int) -> Dataset:
-    """Keep at most `cap` samples per class, chosen uniformly at random."""
+def per_class_indices(y: np.ndarray, class_count: int, cap: int,
+                      seed: int) -> np.ndarray:
+    """Indices of at most `cap` samples per class, chosen uniformly at
+    random: class by class, each class's kept indices ascending."""
     if cap <= 0:
         raise ValueError("cap must be positive")
     rng = np.random.default_rng(seed)
     keep = []
-    for c in range(dataset.class_count):
-        idx = np.flatnonzero(dataset.y == c)
+    for c in range(class_count):
+        idx = np.flatnonzero(y == c)
         if idx.shape[0] > cap:
             idx = rng.choice(idx, size=cap, replace=False)
         keep.append(np.sort(idx))
-    order = np.concatenate(keep)
-    return dataset.take(order)
+    return np.concatenate(keep)
+
+
+def subsample_per_class(dataset: Dataset, cap: int, seed: int) -> Dataset:
+    """Keep at most `cap` samples per class, chosen uniformly at random."""
+    return dataset.take(per_class_indices(dataset.y, dataset.class_count, cap, seed))
 
 
 # --------------------------------------------------------------------------

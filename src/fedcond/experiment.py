@@ -65,9 +65,12 @@ def _stage(name: str, timings: dict[str, float] | None = None):
 # --------------------------------------------------------------------------
 
 def load_dataset_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
+    cap_seeds = (child_seed(seed, 0xCA9, 0), child_seed(seed, 0xCA9, 1))
     if spec.kind == "idx":
-        pair = load_mnist_like(spec.resolved_root(), name=spec.name)
-    elif spec.kind == "glyphs":
+        # capped while the pixels are still bytes: only kept rows become float64
+        return load_mnist_like(spec.resolved_root(), name=spec.name,
+                               per_class_cap=spec.per_class_cap, seeds=cap_seeds)
+    if spec.kind == "glyphs":
         pair = glyph_pair(spec.train_per_class, spec.test_per_class,
                           child_seed(seed, 0xDA7A), invert=spec.invert,
                           name=spec.name)
@@ -77,10 +80,8 @@ def load_dataset_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
         raise ConfigError(f"unknown dataset kind {spec.kind!r}")
     if spec.per_class_cap is not None:
         pair = DatasetPair(
-            train=subsample_per_class(pair.train, spec.per_class_cap,
-                                      child_seed(seed, 0xCA9, 0)),
-            test=subsample_per_class(pair.test, spec.per_class_cap,
-                                     child_seed(seed, 0xCA9, 1)),
+            train=subsample_per_class(pair.train, spec.per_class_cap, cap_seeds[0]),
+            test=subsample_per_class(pair.test, spec.per_class_cap, cap_seeds[1]),
         )
     return pair
 

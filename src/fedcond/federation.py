@@ -154,16 +154,18 @@ def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     (default `cfg.local_epochs_per_round`) from its start parameters (default
     the seeded init for all), drawing batches from its own generator seeded
     with the run seed. Momentum resets with each broadcast unless
-    `keep_momentum`. The trained models go into one `(clients, P)` block
-    allocated for the round, row i holding client i, so `train_sgd`'s copy is
-    freed as soon as the client is done. `mix(trained, block, lr)`, given
-    the rows as `ModelParams` views and the block itself, returns the next
-    round's starts; it may overwrite the block (DAC mixes it in place). The
-    previous round's starts are released before the mix, so with DAC's
-    momentum N clients hold about 3 blocks: velocities, this round's block
-    and the mixed output. `round_loss` of the clients' mean training losses
-    is logged. Runs `rounds` rounds (default `cfg.rounds`) and returns the
-    last mix's output and the log records.
+    `keep_momentum`; a client's optimizer state is dropped after its last
+    pass. The trained models go into one `(clients, P)` block allocated for
+    the whole run, row i holding client i, so `train_sgd`'s copy is freed as
+    soon as the client is done. `mix(trained, block, lr)`, given the rows as
+    `ModelParams` views and the block itself, returns the next round's
+    starts: client i's start is a fresh array or row i itself (Local, Gossip
+    and DAC mix in place), never another client's row, so writing row i
+    after client i's pass, which `train_sgd` has copied, overwrites nothing
+    still to be read. With kept momentum N clients hold about 2 blocks:
+    velocities and the run's block. `round_loss` of the clients' mean
+    training losses is logged. Runs `rounds` rounds (default `cfg.rounds`)
+    and returns the last mix's output and the log records.
     """
     rounds = rounds or cfg.rounds
     epochs_per_round = epochs_per_round or cfg.local_epochs_per_round
@@ -171,11 +173,12 @@ def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
         starts = [init_params(arch, np.random.default_rng(seed))] * len(shards)
     rngs = [np.random.default_rng(seed) for _ in shards]
     states = [opt.clone_config() for _ in shards]
+    block = np.empty((len(shards), starts[0].vector.size))
+    trained = [starts[0].from_flat(row) for row in block]
     records: list[dict] = []
     for rnd in range(rounds):
         lr = lr_at(opt.learning_rate, rnd, rounds, cfg.lr_schedule)
-        block = np.empty((len(shards), starts[0].vector.size))
-        trained, losses = [], []
+        losses = []
         for i, shard in enumerate(shards):
             state = states[i] if keep_momentum else opt.clone_config()
             state.learning_rate = lr
@@ -183,12 +186,12 @@ def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
                                              shard.train.y, state,
                                              epochs_per_round, rngs[i])
             block[i] = params.vector
-            trained.append(params.from_flat(block[i]))
             losses.append(np.mean(epoch_losses))
-        del starts  # the previous round's models: the mix output replaces them
+            if rnd == rounds - 1:
+                states[i] = None  # nothing reads a client's momentum after its last pass
+        del starts, params  # the block holds the round's models; the mix makes the starts
         loss = round_loss(losses)
         starts = mix(trained, block, lr)
-        del trained, block  # whatever the mix output still needs, it references
         _emit(log_sink, records, {"round": rnd, "strategy": cfg.kind,
                                   "mean_train_loss": loss})
     return starts, records
@@ -264,13 +267,13 @@ def train_gossip(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
     match_rng = np.random.default_rng(child_seed(seed, 0x6055))
 
     def mix(trained, block, lr):
-        mixed = list(trained)
         pairs = _random_matching(len(trained), match_rng)
         if cfg.gossip_pairs_per_round is not None:
             pairs = pairs[:cfg.gossip_pairs_per_round]
         for a, b in pairs:
-            mixed[a] = mixed[b] = average_params([trained[a], trained[b]], [1.0, 1.0])
-        return mixed
+            block[a] = block[b] = average_params([trained[a], trained[b]],
+                                                 [1.0, 1.0]).vector
+        return trained
 
     params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink,
                                   keep_momentum=True)
@@ -356,6 +359,7 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
 
 
 NORM_CHUNK_ROWS = 16
+MIX_CHUNK_ENTRIES = 1 << 19  # entries of one (N, chunk) temporary of the DAC mix
 
 
 def _row_norms(flat: np.ndarray) -> np.ndarray:
@@ -382,19 +386,32 @@ def _cosine_weight_matrix(flat: np.ndarray, tau: float) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _dac_mix(block: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """One DAC mix of the (N, P) `block` of client models: the weights W of
-    `_cosine_weight_matrix` and the mixed models `block[:1] + W @ (block -
-    block[:1])`, which is exactly the identity when all rows coincide. The
-    difference is taken in place, so `block` is overwritten and the product
-    is the only (N, P) allocation; the IEEE operations and the GEMM operands
-    are those of the expression."""
+def _column_chunks(rows: int, width: int) -> list[tuple[int, int]]:
+    """`[a, b)` column ranges covering `width` columns of a `rows`-row mix.
+    Every boundary but the last is a multiple of one step, a multiple of 64
+    holding at least `MIX_CHUNK_ENTRIES / rows` columns, and the last chunk
+    takes the remainder. So every chunk starts on the full product's unrolled
+    column blocks and is a GEMM of rows * rows * chunk >= 2**20 multiply-adds
+    (rows >= 2), or the whole product: OpenBLAS gives a GEMM of at most 10**6
+    to a small-matrix kernel, which rounds the last columns differently."""
+    step = -(-MIX_CHUNK_ENTRIES // (64 * rows)) * 64
+    bounds = [k * step for k in range(max(1, width // step))]
+    return list(zip(bounds, bounds[1:] + [width]))
+
+
+def _dac_mix(block: np.ndarray, tau: float) -> np.ndarray:
+    """One DAC mix of the (N, P) `block` of client models, in place: returns
+    the weights W of `_cosine_weight_matrix` over the whole block and
+    overwrites the block with `block[:1] + W @ (block - block[:1])`, which is
+    exactly the identity when all rows coincide. The product runs over
+    `_column_chunks`, so besides the block only one chunk's difference and
+    product exist, and each entry comes out of the same BLAS kernel as in
+    the unchunked expression, so the bits are its bits."""
     weights = _cosine_weight_matrix(block, tau)
     base = block[0].copy()
-    block -= base
-    mixed = weights @ block
-    mixed += base
-    return weights, mixed
+    for a, b in _column_chunks(*block.shape):
+        np.add(weights @ (block[:, a:b] - base[a:b]), base[a:b], out=block[:, a:b])
+    return weights
 
 
 def _affinity_clusters(weights: np.ndarray) -> list[int]:
@@ -431,8 +448,8 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
 
     def mix(trained, block, lr):
         nonlocal weights_matrix
-        weights_matrix, mixed = _dac_mix(block, cfg.dac_temperature)
-        return [p.from_flat(row) for p, row in zip(trained, mixed)]
+        weights_matrix = _dac_mix(block, cfg.dac_temperature)
+        return trained
 
     params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink,
                                   keep_momentum=True)

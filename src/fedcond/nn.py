@@ -369,14 +369,18 @@ class ConcatStats(Layer):
 def _build_plan(arch: Architecture):
     """mnist_cnn: conv(1->32) -> pool -> conv(32->64) -> pool -> flatten
     -> [concat stats] -> FC(H) -> FC(C), matching the 28x28 reference stack.
+    Each conv stage pools before its ReLU, so the ReLU runs on a quarter of
+    the elements: ReLU is monotone, so max and ReLU commute, and both orders
+    pick the first positive maximum of a window, so every nonzero activation
+    and gradient equals that of ReLU-then-pool (only signs of zeros differ).
     mlp: flatten -> [concat stats] -> FC(H) -> FC(H) -> FC(C); the second
     hidden layer lets the conditional variant compose fingerprint detection
     with classification, which one hidden layer is too shallow to learn at
     desk scale."""
     layers = []
     if arch.kind.startswith("mnist_cnn"):
-        layers += [Conv2d("conv1", 1, 32), ReLU("relu1"), MaxPool2d("pool1"),
-                   Conv2d("conv2", 32, 64), ReLU("relu2"), MaxPool2d("pool2"),
+        layers += [Conv2d("conv1", 1, 32), MaxPool2d("pool1"), ReLU("relu1"),
+                   Conv2d("conv2", 32, 64), MaxPool2d("pool2"), ReLU("relu2"),
                    Flatten("flatten")]
     else:
         layers += [Flatten("flatten")]
@@ -575,8 +579,11 @@ def average_params(models: list[ModelParams], weights) -> ModelParams:
     w = w / total
     base = models[0].vector
     out = base.copy()
+    diff = np.empty_like(base)  # one scratch vector for every w_i * (model_i - first)
     for wi, m in zip(w, models):
-        out += wi * (m.vector - base)
+        np.subtract(m.vector, base, out=diff)
+        diff *= wi
+        out += diff
     return replace(models[0], vector=out)
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fedcond.config import ConfigError, ExperimentConfig, SuiteConfig
+from fedcond.config import ConfigError, DatasetSpec, ExperimentConfig, SuiteConfig
+from fedcond.data import (MNIST_FILES, glyph_pair, load_mnist_like,
+                          subsample_per_class, write_idx)
 from fedcond.experiment import (StageError, build_partition, fingerprint_only,
                                 load_dataset_pair, reaggregate, run_experiment,
                                 run_suite)
@@ -180,6 +183,32 @@ def test_source_pair_is_released_before_training(monkeypatch, tmp_path):
     run_experiment(tiny_config(), out_dir=tmp_path)
     assert len(refs) == 1
     assert alive_at_train == [False]
+
+
+def test_idx_cap_converts_only_the_kept_rows(tmp_path):
+    """An IDX pair capped per class equals the whole pair converted, then
+    subsampled with the same seeds, and peaks near the bytes it keeps."""
+    source = glyph_pair(400, 100, seed=5)
+    for split, (images, labels) in zip((source.train, source.test),
+                                       (MNIST_FILES[:2], MNIST_FILES[2:])):
+        write_idx(split, tmp_path / images, tmp_path / labels)
+    spec = DatasetSpec(kind="idx", name="idx", root=str(tmp_path), per_class_cap=50)
+    tracemalloc.start()
+    try:
+        got = load_dataset_pair(spec, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full = load_mnist_like(tmp_path, name="idx")
+    for i, (split, ds) in enumerate(zip((full.train, full.test), (got.train, got.test))):
+        want = subsample_per_class(split, 50, child_seed(3, 0xCA9, i))
+        assert np.array_equal(ds.X, want.X)
+        assert np.array_equal(np.signbit(ds.X), np.signbit(want.X))
+        assert np.array_equal(ds.y, want.y)
+        assert (ds.class_count, ds.input_shape) == (want.class_count, want.input_shape)
+    kept = sum(ds.X.nbytes + ds.y.nbytes for ds in (got.train, got.test))
+    assert len(got.train) == len(got.test) == 500
+    assert peak <= 1.5 * kept
 
 
 def test_fingerprints_serialized_per_client(tiny_run):

@@ -167,20 +167,47 @@ def test_dac_identical_models_mix_to_identity():
     arch = arch_for(shards)
     params = nn.init_params(arch, 5)
     flat = np.tile(params.flatten(), (4, 1))
-    w, mixed = fed._dac_mix(flat.copy(), tau=0.1)
+    block = flat.copy()
+    w = fed._dac_mix(block, tau=0.1)
     assert np.allclose(w, 0.25)
-    assert np.array_equal(mixed, flat)
+    assert np.array_equal(block, flat)
+
+
+def chunk_step(rows):
+    """The column step `_column_chunks` takes for `rows` models."""
+    return fed._column_chunks(rows, 2 * fed.MIX_CHUNK_ENTRIES)[0][1]
+
+
+P_MLP = nn.init_params(nn.mlp_architecture(784, 10), 0).vector.size
 
 
 @pytest.mark.parametrize("shape", [(2, 7), (5, 40), (16, 300), (17, 1000),
-                                   (40, 4097)])
+                                   (40, 4097), (200, 3 * chunk_step(200) + 5),
+                                   (10, P_MLP), (3, chunk_step(3) + 1),
+                                   (12, 2 * chunk_step(12) + 3)])
 def test_dac_in_place_mix_is_bit_exact(shape):
+    """The chunked in-place mix equals the unchunked expression bit for bit:
+    one chunk, several with a short remainder, and a whole MLP. At 12 rows a
+    4096-column chunk is a GEMM small enough for another BLAS kernel, whose
+    last columns round differently."""
     rng = np.random.default_rng(shape[0])
     flat = 0.3 + rng.normal(scale=0.05, size=shape)
     block = flat.copy()
-    w, mixed = fed._dac_mix(block, tau=0.1)
+    w = fed._dac_mix(block, tau=0.1)
     assert np.array_equal(w, fed._cosine_weight_matrix(flat, tau=0.1))
-    assert np.array_equal(mixed, flat[:1] + w @ (flat - flat[:1]))
+    assert np.array_equal(block, flat[:1] + w @ (flat - flat[:1]))
+
+
+@pytest.mark.parametrize("rows, width", [
+    (2, 7), (2, chunk_step(2) + 1), (3, chunk_step(3) - 1), (3, chunk_step(3)),
+    (12, 2 * chunk_step(12) - 1), (40, P_MLP), (200, 3 * chunk_step(200) + 5)])
+def test_mix_column_chunks_are_aligned_and_wide(rows, width):
+    chunks = fed._column_chunks(rows, width)
+    assert chunks[0][0] == 0 and chunks[-1][1] == width
+    assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
+    assert all(a % 64 == 0 for a, _ in chunks)
+    assert len(chunks) == 1 or all(rows * (b - a) >= fed.MIX_CHUNK_ENTRIES
+                                   for a, b in chunks)
 
 
 @pytest.mark.parametrize("rows", [1, 15, 16, 17, 40])
@@ -193,11 +220,13 @@ def test_dac_chunked_norms_are_bit_exact(rows):
     assert norms[rows // 2] == 0.0
 
 
-@pytest.mark.parametrize("rounds, max_blocks", [(1, 3.5), (3, 3.5)])
-def test_dac_peak_memory_is_about_three_blocks(rounds, max_blocks):
-    """DAC over 40 clients of a P = 118,282 MLP holds the clients'
-    velocities, one round's block of trained models and the mixed output:
-    about 3 blocks of 40 * P float64 at its peak, in any round."""
+@pytest.mark.parametrize("kind, rounds, max_blocks", [
+    ("dac", 1, 1.5), ("dac", 3, 2.5), ("local", 3, 2.5), ("gossip", 3, 2.5)])
+def test_round_peak_memory_is_one_block_plus_velocities(kind, rounds, max_blocks):
+    """40 clients of a P = 118,282 MLP hold one (40, P) float64 block for
+    the whole run, and their momentum velocities, another block, until each
+    client's last pass: at most about 2 blocks at the peak (1 in a one-round
+    run), plus DAC's row-norm chunk of 16 rows."""
     n_clients, d = 40, 784
     rng = np.random.default_rng(0)
     shards = []
@@ -208,11 +237,11 @@ def test_dac_peak_memory_is_about_three_blocks(rounds, max_blocks):
                                   train=data[0], test=data[1]))
     arch = nn.mlp_architecture(d, 10, hidden_dim=128)
     block_bytes = n_clients * nn.init_params(arch, 0).vector.size * 8
-    cfg = fed.StrategyConfig("dac", rounds=rounds)
+    cfg = fed.StrategyConfig(kind, rounds=rounds, epochs=rounds)
     tracemalloc.start()
     try:
-        fed.train_dac(shards, arch, nn.OptimizerState(0.01, 0.9, batch_size=8),
-                      cfg, SEED)
+        fed.run_strategy(shards, arch, nn.OptimizerState(0.01, 0.9, batch_size=8),
+                         cfg, SEED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -266,6 +266,28 @@ def test_weighted_average_matches_scalar_loop_oracle():
         assert np.allclose(avg.values[name], expected, rtol=0, atol=1e-15)
 
 
+def two_temporary_average(models, weights):
+    """The averaging expression with its two temporaries per model."""
+    w = np.asarray(weights, dtype=np.float64)
+    w = w / w.sum()
+    base = models[0].vector
+    out = base.copy()
+    for wi, m in zip(w, models):
+        out += wi * (m.vector - base)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 17])
+def test_average_matches_two_temporary_expression_bit_for_bit(k):
+    arch = nn.mlp_architecture(30, 5, hidden_dim=16)
+    rng = np.random.default_rng(k)
+    models = [nn.init_params(arch, s) for s in range(k)]
+    models[-1] = models[0].copy()  # zero differences, signed zeros included
+    weights = rng.integers(1, 50, k)
+    assert_bits_equal(nn.average_params(models, weights).vector,
+                      two_temporary_average(models, weights))
+
+
 def test_average_rejects_mixed_architectures():
     a = nn.init_params(nn.mlp_architecture(4, 3), 0)
     b = nn.init_params(nn.mlp_architecture(5, 3), 0)
@@ -527,3 +549,43 @@ def test_cnn_loss_and_grad_folds_columns_back_for_conv2_only(monkeypatch):
         calls.clear()
         nn.loss_and_grad(params, arch, rng.random((n, 784)), rng.integers(0, 4, n))
         assert calls == ["conv2"]
+
+
+def relu_first(plan):
+    """The plan with each conv stage's MaxPool2d and ReLU swapped back to
+    Conv2d -> ReLU -> MaxPool2d."""
+    plan = list(plan)
+    for i, layer in enumerate(plan[:-1]):
+        if isinstance(layer, nn.MaxPool2d) and isinstance(plan[i + 1], nn.ReLU):
+            plan[i], plan[i + 1] = plan[i + 1], layer
+    return plan
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("biased", [False, True], ids=["init", "biased"])
+def test_cnn_pool_before_relu_matches_relu_first(monkeypatch, n, biased):
+    """Pooling before ReLU gives the logits, the loss and every nonzero
+    gradient entry of ReLU-then-pool: max and ReLU commute, and both orders
+    route a window's gradient to its first positive maximum."""
+    arch = nn.cnn_architecture(10, hidden_dim=16, stats_dim=4)
+    plan = nn._plan(arch)
+    kinds = [type(layer) for layer in plan[:6]]
+    assert kinds == [nn.Conv2d, nn.MaxPool2d, nn.ReLU] * 2
+    rng = np.random.default_rng(n)
+    params = nn.init_params(arch, n)
+    if biased:  # negative regions, not just exact zeros, reach the pools
+        for name in ("conv1.b", "conv2.b"):
+            params.values[name][...] = 0.1 * rng.standard_normal(params.values[name].shape)
+    x = np.where(rng.random((n, 784)) < 0.7, 0.0, rng.random((n, 784)))
+    y = rng.integers(0, 10, n)
+    stats = rng.standard_normal(4)
+    logits = nn.forward(params, arch, x, stats=stats)
+    loss, grads = nn.loss_and_grad(params, arch, x, y, stats=stats)
+    monkeypatch.setitem(nn._PLAN_CACHE, arch, relu_first(plan))
+    want_logits = nn.forward(params, arch, x, stats=stats)
+    want_loss, want = nn.loss_and_grad(params, arch, x, y, stats=stats)
+    assert_bits_equal(logits, want_logits)
+    assert loss == want_loss
+    nonzero = want.vector != 0
+    assert np.array_equal(grads.vector != 0, nonzero)
+    assert_bits_equal(grads.vector[nonzero], want.vector[nonzero])
