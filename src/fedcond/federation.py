@@ -358,16 +358,17 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
                           assignments=_by_client(shards, assign), log=records)
 
 
-NORM_CHUNK_ROWS = 16
 MIX_CHUNK_ENTRIES = 1 << 19  # entries of one (N, chunk) temporary of the DAC mix
 
 
 def _row_norms(flat: np.ndarray) -> np.ndarray:
-    """`np.linalg.norm(flat, axis=1)`, bit for bit, a few rows at a time so
-    the squares never take a full (N, P) temporary: each row's sum of
-    squares is reduced on its own, whichever rows share the chunk."""
-    return np.concatenate([np.linalg.norm(flat[i:i + NORM_CHUNK_ROWS], axis=1)
-                           for i in range(0, flat.shape[0], NORM_CHUNK_ROWS)])
+    """`np.linalg.norm(flat, axis=1)`, bit for bit, `MIX_CHUNK_ENTRIES // P`
+    rows (at least one) at a time, so the squares take at most a mix chunk's
+    temporary, not a full (N, P) one: each row's sum of squares is reduced
+    on its own, whichever rows share the chunk."""
+    rows = max(1, MIX_CHUNK_ENTRIES // flat.shape[1])
+    return np.concatenate([np.linalg.norm(flat[i:i + rows], axis=1)
+                           for i in range(0, flat.shape[0], rows)])
 
 
 def _cosine_weight_matrix(flat: np.ndarray, tau: float) -> np.ndarray:

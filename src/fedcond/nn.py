@@ -173,7 +173,7 @@ class Dense(Layer):
         return x @ w + b
 
     def backward(self, dout, params, cache, grads, input_grad=True):
-        x = cache[self.name]
+        x = cache.pop(self.name)
         np.matmul(x.T, dout, out=grads.values[f"{self.name}.W"])
         grads.values[f"{self.name}.b"][...] = dout.sum(axis=0)
         if input_grad:
@@ -187,7 +187,7 @@ class ReLU(Layer):
         return x * mask
 
     def backward(self, dout, params, cache, grads):
-        return dout * cache[self.name]
+        return dout * cache.pop(self.name)
 
 
 def _one_sample_order(a, n, order):
@@ -285,11 +285,16 @@ class Conv2d(Layer):
         return out.reshape(n, h, w, self.out_ch).transpose(0, 3, 1, 2)
 
     def backward(self, dout, params, cache, grads, input_grad=True):
-        cols, x_shape = cache[self.name]
+        """Weight and bias gradients, then (with `input_grad`) the input
+        gradient. The columns leave the cache here and are dropped right
+        after the weight-gradient GEMM, so the column gradient of the same
+        size reuses their memory instead of faulting in fresh pages."""
+        cols, x_shape = cache.pop(self.name)
         n, _, h, w = x_shape
         dflat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * h * w, self.out_ch)
         dflat = _one_sample_order(dflat, n, "F")
         grads.values[f"{self.name}.W"][...] = (_one_sample_order(cols.T, n, "C") @ dflat).T
+        del cols
         grads.values[f"{self.name}.b"][...] = _plane_sums(
             dflat.reshape(n, h * w, self.out_ch)).sum(axis=0)
         if input_grad:
@@ -303,43 +308,56 @@ class Conv2d(Layer):
 
 class MaxPool2d(Layer):
     """2x2 max pooling, stride 2, over the four strided quarter-views of the
-    input, so the output keeps the input's memory layout. Ties break toward
-    the first maximum in window order (0,0), (0,1), (1,0), (1,1)."""
+    input, so the output keeps the input's memory layout. The backward masks
+    come from the strict comparisons `later > earlier`, so the gradient goes
+    to the first maximum in window order (0,0), (0,1), (1,0), (1,1), +0.0
+    against -0.0 included. Each value is `np.maximum(later, earlier)`. Tied
+    values have the same bits except +0.0 against -0.0, where numpy does not
+    document which operand it returns: its x86 SIMD loop returns the second
+    (the earlier element, as the oracle test checks there), while its scalar
+    loop and ARM's FMAX may not, which changes only the sign of a zero
+    output. A NaN in any window slot propagates to the output. Backward
+    writes each quarter of the input gradient as `dout`'s bits ANDed with
+    its all-ones or all-zeros mask, so the unpicked entries are +0.0 and no
+    masked select runs."""
 
     def forward(self, x, params, cache):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ShapeMismatchError(self.name, f"spatial dims must be even, got {x.shape}")
         q00, q01, q10, q11 = (x[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1))
-        # strict comparisons: a tie keeps the earlier element
-        top_right = q01 > q00
-        top = np.where(top_right, q01, q00)
-        bottom_right = q11 > q10
-        bottom = np.where(bottom_right, q11, q10)
-        lower = bottom > top
-        cache[self.name] = (top_right, bottom_right, lower, x.shape)
-        return np.where(lower, bottom, top)
+        top = np.maximum(q01, q00)
+        bottom = np.maximum(q11, q10)
+        cache[self.name] = (q01 > q00, q11 > q10, bottom > top, x.shape)
+        return np.maximum(bottom, top)
 
     def backward(self, dout, params, cache, grads):
-        top_right, bottom_right, lower, (n, c, h, w) = cache[self.name]
-        dx = np.zeros((n, h, w, c), dtype=dout.dtype).transpose(0, 3, 1, 2)
+        top_right, bottom_right, lower, (n, c, h, w) = cache.pop(self.name)
+        dx = np.empty((n, h, w, c), dtype=dout.dtype).transpose(0, 3, 1, 2)
+        bits, dbits = dx.view(np.int64), dout.view(np.int64)
         upper = ~lower
         for (di, dj), picked in (((0, 0), upper & ~top_right), ((0, 1), upper & top_right),
                                  ((1, 0), lower & ~bottom_right), ((1, 1), lower & bottom_right)):
-            np.copyto(dx[:, :, di::2, dj::2], dout, where=picked)
+            np.bitwise_and(dbits, -picked.view(np.int8), out=bits[:, :, di::2, dj::2])
         return dx
 
 
 class Flatten(Layer):
     """(N, ...) -> (N, features) in C order of the logical shape; for a
-    channels-last conv output this is the one copy the dense layers need."""
+    channels-last conv output this is the one copy the dense layers need.
+    Backward hands a 4-d gradient back in channels-last memory (one more
+    copy), so the conv stack's ReLU and pool backward passes read and write
+    the layout of their own caches."""
 
     def forward(self, x, params, cache):
         cache[self.name] = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout, params, cache, grads):
-        return dout.reshape(cache[self.name])
+        d = dout.reshape(cache.pop(self.name))
+        if d.ndim == 4:
+            d = np.ascontiguousarray(d.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        return d
 
 
 class ConcatStats(Layer):
@@ -363,7 +381,7 @@ class ConcatStats(Layer):
         return np.hstack([x, stats])
 
     def backward(self, dout, params, cache, grads):
-        return dout[:, :cache[self.name]]
+        return dout[:, :cache.pop(self.name)]
 
 
 def _build_plan(arch: Architecture):
@@ -456,11 +474,11 @@ def _prepare_stats(arch: Architecture, n: int, stats) -> np.ndarray | None:
     return stats
 
 
-def _forward_cached(params: ModelParams, arch: Architecture, x: np.ndarray,
+def _forward_cached(layers, params: ModelParams, x: np.ndarray,
                     stats: np.ndarray | None, locate_nonfinite: bool = False):
     caches = {}
     h = x
-    for layer in _plan(arch):
+    for layer in layers:
         if isinstance(layer, ConcatStats):
             h = layer.forward(h, params, caches, stats=stats)
         else:
@@ -470,20 +488,42 @@ def _forward_cached(params: ModelParams, arch: Architecture, x: np.ndarray,
     return h, caches
 
 
+CONV_BATCH = 64  # most samples `forward` runs through the conv stack at once
+
+
 def forward(params: ModelParams, arch: Architecture, x, stats=None) -> np.ndarray:
-    """Logits for one sample (shape (C,)) or a batch (shape (N, C))."""
+    """Logits for one sample (shape (C,)) or a batch (shape (N, C)).
+
+    The layers before `Flatten` (the conv stack) see at most `CONV_BATCH`
+    samples at a time, in near-equal slices, so evaluating a whole shard
+    holds the im2col columns of at most 64 samples. Each slice's output is
+    copied once, in `Flatten`'s order, into the rows of one (N, features)
+    array. Those layers act on each sample alone, and their GEMMs round a
+    row the same way in any batch of two or more samples, so the logits are
+    those of one pass over the batch (a test checks the bits)."""
     xa = np.asarray(x)
     single = xa.ndim == 1 or xa.shape == tuple(arch.input_shape)
     xb = _prepare_input(arch, xa)
-    sb = _prepare_stats(arch, xb.shape[0], stats)
-    logits, _ = _forward_cached(params, arch, xb, sb)
+    n = xb.shape[0]
+    sb = _prepare_stats(arch, n, stats)
+    plan = _plan(arch)
+    stem = next(i for i, layer in enumerate(plan) if isinstance(layer, Flatten))
+    h = xb
+    if stem:
+        parts = max(1, -(-n // CONV_BATCH))
+        h = np.empty((n, arch.flatten_width), dtype=np.result_type(xb, params.vector))
+        for part, rows in zip(np.array_split(xb, parts), np.array_split(h, parts)):
+            out = _forward_cached(plan[:stem], params, part, None)[0]
+            rows.reshape(out.shape)[...] = out
+        plan = plan[stem + 1:]
+    logits, _ = _forward_cached(plan, params, h, sb)
     if not np.all(np.isfinite(logits)):
         _raise_first_nonfinite(params, arch, xb, sb)
     return logits[0] if single else logits
 
 
 def _raise_first_nonfinite(params, arch, x, stats):
-    _forward_cached(params, arch, x, stats, locate_nonfinite=True)
+    _forward_cached(_plan(arch), params, x, stats, locate_nonfinite=True)
     raise NumericsError("output", "non-finite activation")
 
 
@@ -515,7 +555,8 @@ def loss_and_grad(params: ModelParams, arch: Architecture, x, y,
         raise ValueError(f"label out of range [0,{arch.class_count}): "
                          f"min={yb.min()} max={yb.max()}")
     sb = _prepare_stats(arch, n, stats)
-    logits, caches = _forward_cached(params, arch, xb, sb)
+    plan = _plan(arch)
+    logits, caches = _forward_cached(plan, params, xb, sb)
     if not np.all(np.isfinite(logits)):
         _raise_first_nonfinite(params, arch, xb, sb)
     loss = mean_cross_entropy(logits, yb)
@@ -524,7 +565,6 @@ def loss_and_grad(params: ModelParams, arch: Architecture, x, y,
     dlogits /= n
     grads = replace(params, vector=np.empty_like(params.vector))
     # backward stops at the first weighted layer: the input needs no gradient
-    plan = _plan(arch)
     first = next(i for i, layer in enumerate(plan) if layer.weighted)
     d = dlogits
     for layer in reversed(plan[first + 1:]):

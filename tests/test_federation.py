@@ -210,10 +210,15 @@ def test_mix_column_chunks_are_aligned_and_wide(rows, width):
                                    for a, b in chunks)
 
 
-@pytest.mark.parametrize("rows", [1, 15, 16, 17, 40])
+NORM_WIDTH = 3001
+NORM_ROWS = fed.MIX_CHUNK_ENTRIES // NORM_WIDTH  # rows per `_row_norms` chunk
+
+
+@pytest.mark.parametrize("rows", [1, 15, 16, 17, 40, NORM_ROWS - 1, NORM_ROWS,
+                                  NORM_ROWS + 1, 2 * NORM_ROWS + 1])
 def test_dac_chunked_norms_are_bit_exact(rows):
     rng = np.random.default_rng(rows)
-    flat = rng.normal(size=(rows, 3001))
+    flat = rng.normal(size=(rows, NORM_WIDTH))
     flat[rows // 2] = 0.0
     norms = fed._row_norms(flat)
     assert np.array_equal(norms, np.linalg.norm(flat, axis=1))
@@ -226,7 +231,7 @@ def test_round_peak_memory_is_one_block_plus_velocities(kind, rounds, max_blocks
     """40 clients of a P = 118,282 MLP hold one (40, P) float64 block for
     the whole run, and their momentum velocities, another block, until each
     client's last pass: at most about 2 blocks at the peak (1 in a one-round
-    run), plus DAC's row-norm chunk of 16 rows."""
+    run), plus DAC's row-norm chunk of `MIX_CHUNK_ENTRIES // P` rows (4 here)."""
     n_clients, d = 40, 784
     rng = np.random.default_rng(0)
     shards = []

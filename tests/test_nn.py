@@ -1,6 +1,7 @@
 """Engine tests: forward oracles, gradient checks, optimizer and averaging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,11 +527,57 @@ def test_maxpool2d_matches_argmax_oracle_bit_for_bit(c, size, n):
     rng = np.random.default_rng(n)
     x = pooling_input(rng, (n, c, size, size))
     dout = rng.standard_normal((n, c, size // 2, size // 2))
-    want_out, want_dx, _ = run_layer(OracleMaxPool2d("p"), x, dout)
-    for xs, douts in [(x, dout), (channels_last_view(x), channels_last_view(dout))]:
+    signed_zeros = dout * (rng.random(dout.shape) < 0.5)  # +0.0 and -0.0 among normals
+    for xs, douts in [(x, dout), (channels_last_view(x), channels_last_view(dout)),
+                      (channels_last_view(x), dout), (x, signed_zeros)]:
+        want_out, want_dx, _ = run_layer(OracleMaxPool2d("p"), x, douts)
         out, dx, _ = run_layer(nn.MaxPool2d("p"), xs, douts)
         assert_bits_equal(out, want_out)
         assert_bits_equal(dx, want_dx)
+
+
+def test_cnn_step_peak_memory_is_under_two_conv2_column_blocks():
+    """A batch-64 conditional CNN step never holds conv2's columns and their
+    gradient at once: backward frees each layer's cache as it goes, and
+    conv2 drops its columns before building the column gradient."""
+    n = 64
+    arch = nn.cnn_architecture(10, hidden_dim=128, stats_dim=16)
+    params = nn.init_params(arch, 0)
+    rng = np.random.default_rng(0)
+    x, y, stats = rng.random((n, 784)), rng.integers(0, 10, n), rng.standard_normal(16)
+    nn.loss_and_grad(params, arch, x, y, stats=stats)
+    tracemalloc.start()
+    try:
+        nn.loss_and_grad(params, arch, x, y, stats=stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * 14 * 14 * 32 * 9 * 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 125, 200])
+def test_forward_slices_the_conv_stack_keeping_one_pass_bits(monkeypatch, n):
+    """`forward` runs the conv stack on near-equal slices of at most
+    CONV_BATCH samples, and its logits equal one cached pass bit for bit."""
+    arch = nn.cnn_architecture(10, hidden_dim=16, stats_dim=4)
+    params = nn.init_params(arch, n)
+    rng = np.random.default_rng(n)
+    params.values["conv2.b"][...] = 0.1 * rng.standard_normal(64)
+    x, stats = rng.random((n, 784)), rng.standard_normal(4)
+    want, _ = nn._forward_cached(nn._plan(arch), params, x.reshape(n, 1, 28, 28),
+                                 np.broadcast_to(stats, (n, 4)))
+    batches = []
+    conv_forward = nn.Conv2d.forward
+
+    def spy(self, h, *args):
+        batches.append(h.shape[0])
+        return conv_forward(self, h, *args)
+
+    monkeypatch.setattr(nn.Conv2d, "forward", spy)
+    assert_bits_equal(nn.forward(params, arch, x, stats=stats), want)
+    slices = batches[::2]  # conv1 then conv2 per slice
+    assert sum(slices) == n and max(slices) <= nn.CONV_BATCH
+    assert max(slices) - min(slices) <= 1
 
 
 def test_cnn_loss_and_grad_folds_columns_back_for_conv2_only(monkeypatch):
