@@ -20,8 +20,9 @@ from .experiment import StageError, fingerprint_only, reaggregate, run_experimen
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="suite-level parallelism; 1 = fully serial (deterministic mode)")
+
+
+def _add_format(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
 
 
@@ -37,10 +38,14 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config")
     _add_common(p_run)
+    _add_format(p_run)
 
     p_suite = sub.add_parser("suite", help="run a grid of experiments")
     p_suite.add_argument("config")
     _add_common(p_suite)
+    _add_format(p_suite)
+    p_suite.add_argument("--threads", type=int, default=1,
+                         help="suite-level parallelism; 1 = fully serial (deterministic mode)")
 
     p_fp = sub.add_parser("fingerprint", help="compute client fingerprints only")
     p_fp.add_argument("config")

@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import check_field_types
 from .heterogeneity import ClientShard
-from .nn import (Architecture, ModelParams, OptimizerState, average_params,
-                 forward, init_params, mean_cross_entropy, train_sgd)
+from .nn import (Architecture, Fold, ModelParams, OptimizerState, forward,
+                 init_params, mean_cross_entropy, train_sgd)
 
 log = logging.getLogger(__name__)
 
@@ -144,54 +144,83 @@ def _by_client(shards: list[ClientShard], values: list) -> dict:
 
 def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
                 cfg: StrategyConfig, seed: int, mix, log_sink, *,
-                starts: list[ModelParams] | None = None, rounds: int | None = None,
-                epochs_per_round: int | None = None, keep_momentum: bool = False,
+                models: list[ModelParams] | None = None, assign: list[int] | None = None,
+                rounds: int | None = None, epochs_per_round: int | None = None,
                 round_loss=lambda losses: float(np.mean(losses))
                 ) -> tuple[list[ModelParams], list[dict]]:
     """The round loop of the federated baselines: local passes, then a mix.
 
     Each round every client runs `epochs_per_round` passes of `train_sgd`
-    (default `cfg.local_epochs_per_round`) from its start parameters (default
-    the seeded init for all), drawing batches from its own generator seeded
-    with the run seed. Momentum resets with each broadcast unless
-    `keep_momentum`; a client's optimizer state is dropped after its last
-    pass. The trained models go into one `(clients, P)` block allocated for
-    the whole run, row i holding client i, so `train_sgd`'s copy is freed as
-    soon as the client is done. `mix(trained, block, lr)`, given the rows as
-    `ModelParams` views and the block itself, returns the next round's
-    starts: client i's start is a fresh array or row i itself (Local, Gossip
-    and DAC mix in place), never another client's row, so writing row i
-    after client i's pass, which `train_sgd` has copied, overwrites nothing
-    still to be read. With kept momentum N clients hold about 2 blocks:
-    velocities and the run's block. `round_loss` of the clients' mean
-    training losses is logged. Runs `rounds` rounds (default `cfg.rounds`)
-    and returns the last mix's output and the log records.
+    (default `cfg.local_epochs_per_round`), drawing batches from its own
+    generator seeded with the run seed; `round_loss` of the clients' mean
+    training losses is logged, then `mix(mixed, lr)` runs. Runs `rounds`
+    rounds (default `cfg.rounds`) and returns each client's model after the
+    last mix, and the log records. Clients hold their models in one of two
+    ways, and no pass allocates a model:
+
+    - Block (no `assign`: Local, Gossip, DAC). All clients' models live in
+      one `(clients, P)` block allocated for the run, row i seeded and then
+      trained in place for client i, with momentum kept across rounds and
+      dropped after the client's last pass. `mix` gets the block to mix in
+      place. N clients hold about 2 blocks at the peak (the block and the
+      velocities), 1 in a one-round run.
+    - Fold (`assign` given: FedAvg, IFCA, Ditto's global branch). Client i
+      trains from `models[assign[i]]` (`models` defaults to the seeded init
+      alone) into one work vector, with momentum reset by zeroing one
+      shared velocity before each pass, and is folded at once into its
+      group's `Fold` with its sample count as weight. Clients run in order,
+      so each group's mean has the bits of `average_params` over its
+      members. After the round each group with members takes its mean and
+      an empty group keeps its vector; `mix` gets `models` and may change
+      `models` and `assign` in place. No block exists: the run holds the
+      groups' models and a few P-vectors.
     """
     rounds = rounds or cfg.rounds
     epochs_per_round = epochs_per_round or cfg.local_epochs_per_round
-    if starts is None:
-        starts = [init_params(arch, np.random.default_rng(seed))] * len(shards)
+    init = init_params(arch, np.random.default_rng(seed))
     rngs = [np.random.default_rng(seed) for _ in shards]
-    states = [opt.clone_config() for _ in shards]
-    block = np.empty((len(shards), starts[0].vector.size))
-    trained = [starts[0].from_flat(row) for row in block]
+    if assign is None:
+        mixed = np.empty((len(shards), init.vector.size))
+        mixed[...] = init.vector
+        starts = dests = [init.from_flat(row) for row in mixed]
+        states = [opt.clone_config() for _ in shards]
+    else:
+        mixed = models = models or [init]
+        weights = [len(s.train) for s in shards]
+        starts = [models[a] for a in assign]
+        dests = [init.from_flat(np.empty_like(init.vector))] * len(shards)
+        reset = opt.clone_config()  # every pass zeroes its velocity first
+        reset.velocity = np.empty_like(init.vector)
+        states = [reset] * len(shards)
+    del init
     records: list[dict] = []
     for rnd in range(rounds):
         lr = lr_at(opt.learning_rate, rnd, rounds, cfg.lr_schedule)
+        if assign is not None:
+            folds = {h: Fold([w for w, a in zip(weights, assign) if a == h])
+                     for h in set(assign)}
         losses = []
         for i, shard in enumerate(shards):
-            state = states[i] if keep_momentum else opt.clone_config()
+            state = states[i]
             state.learning_rate = lr
-            params, epoch_losses = train_sgd(starts[i], arch, shard.train.X,
-                                             shard.train.y, state,
-                                             epochs_per_round, rngs[i])
-            block[i] = params.vector
+            if assign is not None:
+                state.velocity[...] = 0.0
+            trained, epoch_losses = train_sgd(starts[i], arch, shard.train.X,
+                                              shard.train.y, state,
+                                              epochs_per_round, rngs[i], out=dests[i])
+            if assign is not None:
+                folds[assign[i]].add(trained.vector, trained.vector)
             losses.append(np.mean(epoch_losses))
             if rnd == rounds - 1:
                 states[i] = None  # nothing reads a client's momentum after its last pass
-        del starts, params  # the block holds the round's models; the mix makes the starts
+        if assign is not None:
+            for h, fold in folds.items():
+                models[h] = models[h].from_flat(fold.vector)
+            del folds  # frees each fold's copy of its first member before the mix
         loss = round_loss(losses)
-        starts = mix(trained, block, lr)
+        mix(mixed, lr)
+        if assign is not None:
+            starts = [models[a] for a in assign]
         _emit(log_sink, records, {"round": rnd, "strategy": cfg.kind,
                                   "mean_train_loss": loss})
     return starts, records
@@ -235,9 +264,8 @@ def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     """Each client trains independently on its own shard: `epochs` rounds of
     one pass, mixed with the identity."""
     params, records = _run_rounds(shards, arch, opt, cfg, seed,
-                                  lambda trained, block, lr: trained, log_sink,
-                                  rounds=cfg.epochs, epochs_per_round=1,
-                                  keep_momentum=True)
+                                  lambda block, lr: None, log_sink,
+                                  rounds=cfg.epochs, epochs_per_round=1)
     return TrainedOutcome("local", arch, _by_client(shards, params), log=records)
 
 
@@ -246,9 +274,9 @@ def train_fedavg(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
     """Server-side sample-weighted averaging of per-round local updates."""
     weights = [len(s.train) for s in shards]
     params, records = _run_rounds(
-        shards, arch, opt, cfg, seed,
-        lambda trained, block, lr: [average_params(trained, weights)] * len(trained),
-        log_sink, round_loss=lambda losses: float(np.average(losses, weights=weights)))
+        shards, arch, opt, cfg, seed, lambda models, lr: None, log_sink,
+        assign=[0] * len(shards),
+        round_loss=lambda losses: float(np.average(losses, weights=weights)))
     return TrainedOutcome("fedavg", arch, _by_client(shards, params), log=records)
 
 
@@ -266,17 +294,17 @@ def train_gossip(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
         raise ValueError("gossip needs at least 2 clients")
     match_rng = np.random.default_rng(child_seed(seed, 0x6055))
 
-    def mix(trained, block, lr):
-        pairs = _random_matching(len(trained), match_rng)
+    def mix(block, lr):
+        pairs = _random_matching(len(block), match_rng)
         if cfg.gossip_pairs_per_round is not None:
             pairs = pairs[:cfg.gossip_pairs_per_round]
         for a, b in pairs:
-            block[a] = block[b] = average_params([trained[a], trained[b]],
-                                                 [1.0, 1.0]).vector
-        return trained
+            pair = Fold([1.0, 1.0])
+            pair.add(block[a])
+            pair.add(block[b])
+            block[a] = block[b] = pair.vector
 
-    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink,
-                                  keep_momentum=True)
+    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink)
     return TrainedOutcome("gossip", arch, _by_client(shards, params), log=records)
 
 
@@ -328,21 +356,11 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
             for v in jittered.values.values():
                 v += 0.05 * v.std() * rng.standard_normal(v.shape)
             models.append(jittered)
-    weights = [len(s.train) for s in shards]
     assign: list[int] = []
 
     def reassign():
         assign[:] = [int(np.argmin([mean_shard_loss(m, arch, s) for m in models]))
                      for s in shards]
-        return [models[h] for h in assign]
-
-    def mix(trained, block, lr):
-        for h in range(K):
-            members = [i for i, a in enumerate(assign) if a == h]
-            if members:
-                models[h] = average_params([trained[i] for i in members],
-                                           [weights[i] for i in members])
-        return reassign()
 
     # grouped by hypothesis: the float mean depends on summation order, and
     # the logged losses keep the order IFCA trains its members in
@@ -350,8 +368,10 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
         return float(np.mean([losses[i] for i in
                               sorted(range(len(losses)), key=assign.__getitem__)]))
 
-    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink,
-                                  starts=reassign(),
+    reassign()
+    params, records = _run_rounds(shards, arch, opt, cfg, seed,
+                                  lambda models, lr: reassign(), log_sink,
+                                  models=models, assign=assign,
                                   rounds=cfg.ifca_refinement_rounds,
                                   round_loss=round_loss)
     return TrainedOutcome("ifca", arch, _by_client(shards, params),
@@ -447,13 +467,11 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
         raise ValueError("dac needs at least 2 clients")
     weights_matrix = None
 
-    def mix(trained, block, lr):
+    def mix(block, lr):
         nonlocal weights_matrix
         weights_matrix = _dac_mix(block, cfg.dac_temperature)
-        return trained
 
-    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink,
-                                  keep_momentum=True)
+    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink)
     clusters = _affinity_clusters(weights_matrix)
     return TrainedOutcome("dac", arch, _by_client(shards, params),
                           assignments=_by_client(shards, clusters), log=records)
@@ -470,19 +488,17 @@ def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     personal_rngs = [np.random.default_rng(seed) for _ in shards]
     personal_states = [opt.clone_config() for _ in shards]
 
-    def mix(trained, block, lr):
-        global_params = average_params(trained, weights)
+    def mix(models, lr):
         # personal pull targets the freshly aggregated global parameters
         for i, shard in enumerate(shards):
             personal_states[i].learning_rate = lr
-            personal[i], _ = train_sgd(personal[i], arch, shard.train.X, shard.train.y,
-                                       personal_states[i], cfg.local_epochs_per_round,
-                                       personal_rngs[i], prox_target=global_params,
-                                       prox_lambda=cfg.ditto_lambda)
-        return [global_params] * len(trained)
+            train_sgd(personal[i], arch, shard.train.X, shard.train.y,
+                      personal_states[i], cfg.local_epochs_per_round,
+                      personal_rngs[i], prox_target=models[0],
+                      prox_lambda=cfg.ditto_lambda, out=personal[i])
 
     _, records = _run_rounds(
-        shards, arch, opt, cfg, seed, mix, log_sink,
+        shards, arch, opt, cfg, seed, mix, log_sink, assign=[0] * len(shards),
         round_loss=lambda losses: float(np.average(losses, weights=weights)))
     return TrainedOutcome("ditto", arch, _by_client(shards, personal), log=records)
 

@@ -102,8 +102,9 @@ class ModelParams:
     out in the order `shapes` lists them (the layer plan's order), so a write
     through `values[name]` is a write to `vector`. Whole-model arithmetic
     (SGD, averaging, mixing) runs on `vector`. `sgd_step` updates its
-    argument in place; `train_sgd` copies its input first, so a caller's
-    instance never changes and one instance can be handed to many clients.
+    argument in place; `train_sgd` trains a copy unless given an `out`, so
+    by default a caller's instance never changes and one instance can be
+    handed to many clients.
     """
 
     architecture_id: str
@@ -168,9 +169,9 @@ class Dense(Layer):
         if x.shape[1] != self.in_dim:
             raise ShapeMismatchError(self.name, f"expected input width {self.in_dim}, got {x.shape[1]}")
         cache[self.name] = x
-        w = params.values[f"{self.name}.W"]
-        b = params.values[f"{self.name}.b"]
-        return x @ w + b
+        out = x @ params.values[f"{self.name}.W"]
+        out += params.values[f"{self.name}.b"]
+        return out
 
     def backward(self, dout, params, cache, grads, input_grad=True):
         x = cache.pop(self.name)
@@ -181,13 +182,17 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
+    """Multiplies by the `x > 0` mask in place, forward on the activations
+    and backward on the incoming gradient: both are arrays the neighbouring
+    layer made for this step alone (`x * 0.0` keeps its -0.0 and NaN bits)."""
+
     def forward(self, x, params, cache):
         mask = x > 0
         cache[self.name] = mask
-        return x * mask
+        return np.multiply(x, mask, out=x)
 
     def backward(self, dout, params, cache, grads):
-        return dout * cache.pop(self.name)
+        return np.multiply(dout, cache.pop(self.name), out=dout)
 
 
 def _one_sample_order(a, n, order):
@@ -527,12 +532,6 @@ def _raise_first_nonfinite(params, arch, x, stats):
     raise NumericsError("output", "non-finite activation")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     """Mean CE via the logsumexp form (exact ln(C) for uniform logits)."""
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -542,8 +541,15 @@ def mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
 
 
 def loss_and_grad(params: ModelParams, arch: Architecture, x, y,
-                  stats=None) -> tuple[float, ModelParams]:
-    """Mean softmax cross-entropy over the batch and its parameter gradient."""
+                  stats=None, grads: ModelParams | None = None
+                  ) -> tuple[float, ModelParams]:
+    """Mean softmax cross-entropy over the batch and its parameter gradient.
+
+    The gradient is written into `grads` (every entry is overwritten) when
+    given, else into a fresh vector; no other argument changes. One `exp`
+    of the shifted logits serves the loss (the logsumexp form of
+    `mean_cross_entropy`) and the softmax of its gradient, with the bits of
+    both."""
     xb = _prepare_input(arch, np.asarray(x))
     n = xb.shape[0]
     if n == 0:
@@ -559,11 +565,17 @@ def loss_and_grad(params: ModelParams, arch: Architecture, x, y,
     logits, caches = _forward_cached(plan, params, xb, sb)
     if not np.all(np.isfinite(logits)):
         _raise_first_nonfinite(params, arch, xb, sb)
-    loss = mean_cross_entropy(logits, yb)
-    dlogits = softmax(logits)
-    dlogits[np.arange(n), yb] -= 1.0
+    rows = np.arange(n)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    picked = z[rows, yb]
+    e = np.exp(z, out=z)
+    total = e.sum(axis=-1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - picked))
+    dlogits = np.divide(e, total, out=e)
+    dlogits[rows, yb] -= 1.0
     dlogits /= n
-    grads = replace(params, vector=np.empty_like(params.vector))
+    if grads is None:
+        grads = params.from_flat(np.empty_like(params.vector))
     # backward stops at the first weighted layer: the input needs no gradient
     first = next(i for i, layer in enumerate(plan) if layer.weighted)
     d = dlogits
@@ -587,57 +599,85 @@ class OptimizerState:
         return OptimizerState(self.learning_rate, self.momentum, self.batch_size)
 
 
-def sgd_step(params: ModelParams, grads: ModelParams, opt: OptimizerState) -> None:
-    """Classic (heavy-ball) momentum, in place: v <- mu*v + g; theta <- theta - lr*v."""
+def sgd_step(params: ModelParams, grads: ModelParams, opt: OptimizerState,
+             scratch: np.ndarray | None = None) -> None:
+    """Classic (heavy-ball) momentum, in place: v <- mu*v + g; theta <- theta - lr*v.
+
+    Only `params` and `opt.velocity` change. `lr*v` goes into `scratch` when
+    given (a vector of the parameter layout that nothing else reads), else
+    into a fresh temporary; the bits are the same."""
     if opt.velocity is None:
         opt.velocity = np.zeros_like(params.vector)
     elif opt.velocity.shape != params.vector.shape:
         raise ValueError("optimizer state belongs to a different architecture")
     opt.velocity *= opt.momentum
     opt.velocity += grads.vector
-    params.vector -= opt.learning_rate * opt.velocity
+    params.vector -= np.multiply(opt.velocity, opt.learning_rate, out=scratch)
+
+
+class Fold:
+    """Weighted mean `first + sum_i w_i * (m_i - first)` (weights normalized)
+    of models handed to `add` one at a time, in order, holding only `first`
+    and the running `vector`. Exact when all models coincide (the first
+    term turns a -0.0 into +0.0) and well conditioned when they are close,
+    the FL aggregation case."""
+
+    def __init__(self, weights):
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 1 or (w < 0).any():
+            raise ValueError("need one nonnegative weight per model")
+        total = w.sum()
+        if total <= 0:
+            raise ValueError("weights must sum to a positive value")
+        self._weights = iter(w / total)
+        self.first = self.vector = None
+
+    def add(self, model: np.ndarray, scratch: np.ndarray | None = None) -> None:
+        """Folds in the next model's vector. The weighted difference goes into
+        `scratch` when given (`model` itself may be its scratch), else into a
+        fresh temporary."""
+        if self.first is None:
+            self.first, self.vector = model.copy(), model.copy()
+        diff = np.subtract(model, self.first, out=scratch)
+        diff *= next(self._weights)
+        self.vector += diff
 
 
 def average_params(models: list[ModelParams], weights) -> ModelParams:
-    """Weighted elementwise mean in fixed input order (weights normalized).
-
-    Computed as first_model + sum(w_i * (model_i - first_model)), which is
-    algebraically identical but exactly idempotent when all models coincide
-    and better conditioned when they are close (the FL aggregation case).
-    """
+    """Weighted elementwise mean in fixed input order: a `Fold` over the
+    models, with one scratch vector for every weighted difference."""
     if not models:
         raise ValueError("no models to average")
     arch_ids = {m.architecture_id for m in models}
     if len(arch_ids) != 1:
         raise ValueError(f"mixed architectures: {sorted(arch_ids)}")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape[0] != len(models) or (w < 0).any():
+    if len(weights) != len(models):
         raise ValueError("need one nonnegative weight per model")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    w = w / total
-    base = models[0].vector
-    out = base.copy()
-    diff = np.empty_like(base)  # one scratch vector for every w_i * (model_i - first)
-    for wi, m in zip(w, models):
-        np.subtract(m.vector, base, out=diff)
-        diff *= wi
-        out += diff
-    return replace(models[0], vector=out)
+    fold = Fold(weights)
+    diff = np.empty_like(models[0].vector)
+    for m in models:
+        fold.add(m.vector, diff)
+    return models[0].from_flat(fold.vector)
 
 
 def train_sgd(params: ModelParams, arch: Architecture, x: np.ndarray, y: np.ndarray,
               opt: OptimizerState, epochs: int, rng: np.random.Generator,
               stats_rows: np.ndarray | None = None,
               prox_target: ModelParams | None = None,
-              prox_lambda: float = 0.0) -> tuple[ModelParams, list[float]]:
+              prox_lambda: float = 0.0,
+              out: ModelParams | None = None) -> tuple[ModelParams, list[float]]:
     """Minibatch SGD for `epochs` passes; one seeded shuffle per epoch.
 
-    Returns a trained copy of `params` (the argument is left unchanged) and
-    the mean training loss per epoch (data loss only). The optimizer's
-    momentum state persists across epochs (and across calls, which is what
-    the round-based strategies rely on).
+    Trains `out` starting from the values of `params` and returns it with
+    the mean training loss per epoch (data loss only). By default `out` is
+    a fresh copy, so `params` is left unchanged; `out=params` trains in
+    place, and any other `out` of the same layout is overwritten with
+    `params` first. The optimizer's momentum state persists across epochs
+    (and across calls, which is what the round-based strategies rely on).
+
+    The pass allocates its gradient vector and its `lr*v` scratch once and
+    every step reuses them (`loss_and_grad(grads=...)`,
+    `sgd_step(scratch=...)`), called by their module names.
 
     With `prox_target`, the proximal pull (prox_lambda/2)*||theta - target||^2
     is applied implicitly after each step, theta <- (theta + lr*lam*target) /
@@ -646,7 +686,13 @@ def train_sgd(params: ModelParams, arch: Architecture, x: np.ndarray, y: np.ndar
     """
     n = x.shape[0]
     losses = []
-    params = params.copy()
+    if out is None:
+        out = params.copy()
+    elif out is not params:
+        out.vector[...] = params.vector
+    params = out
+    grads = params.from_flat(np.empty_like(params.vector))
+    scratch = np.empty_like(params.vector)
     if prox_target is not None:
         pull = opt.learning_rate * prox_lambda
         shrink = 1.0 / (1.0 + pull)
@@ -657,8 +703,8 @@ def train_sgd(params: ModelParams, arch: Architecture, x: np.ndarray, y: np.ndar
         for start in range(0, n, opt.batch_size):
             idx = order[start:start + opt.batch_size]
             sb = stats_rows[idx] if stats_rows is not None else None
-            loss, grads = loss_and_grad(params, arch, x[idx], y[idx], stats=sb)
-            sgd_step(params, grads, opt)
+            loss, _ = loss_and_grad(params, arch, x[idx], y[idx], stats=sb, grads=grads)
+            sgd_step(params, grads, opt, scratch)
             if prox_target is not None:
                 params.vector += pulled_target
                 params.vector *= shrink

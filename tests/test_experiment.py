@@ -567,6 +567,19 @@ def test_cli_report_subcommand(tmp_path):
     assert (tmp_path / "suite_summary.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("run", "--threads"), ("fingerprint", "--threads"),
+                                           ("fingerprint", "--format")])
+def test_cli_rejects_options_the_command_ignores(tmp_path, command, flag):
+    """`--threads` parallelizes the runs of a suite only, and `fingerprint`
+    writes no report to format: elsewhere the flag is a usage error."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY))
+    r = run_cli(command, str(cfg_path), flag, "csv" if flag == "--format" else "2")
+    assert r.returncode == 2
+    assert "unrecognized arguments" in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_cli_format_csv_only(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY))

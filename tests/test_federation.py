@@ -226,12 +226,17 @@ def test_dac_chunked_norms_are_bit_exact(rows):
 
 
 @pytest.mark.parametrize("kind, rounds, max_blocks", [
-    ("dac", 1, 1.5), ("dac", 3, 2.5), ("local", 3, 2.5), ("gossip", 3, 2.5)])
+    ("dac", 1, 1.5), ("dac", 3, 2.5), ("local", 3, 2.5), ("gossip", 3, 2.5),
+    ("fedavg", 3, 0.3), ("ifca", 3, 0.4), ("ditto", 3, 2.3)])
 def test_round_peak_memory_is_one_block_plus_velocities(kind, rounds, max_blocks):
-    """40 clients of a P = 118,282 MLP hold one (40, P) float64 block for
-    the whole run, and their momentum velocities, another block, until each
-    client's last pass: at most about 2 blocks at the peak (1 in a one-round
-    run), plus DAC's row-norm chunk of `MIX_CHUNK_ENTRIES // P` rows (4 here)."""
+    """40 clients of a P = 118,282 MLP. Local, Gossip and DAC train in one
+    (40, P) float64 block for the whole run and hold their momentum
+    velocities, another block, until each client's last pass: at most about
+    2 blocks at the peak (1 in a one-round run), plus DAC's row-norm chunk
+    of `MIX_CHUNK_ENTRIES // P` rows (4 here). FedAvg and IFCA (K = 2) fold
+    each client into its group's mean as it finishes and hold no block, only
+    a few P-vectors per group; Ditto adds the personal models and their
+    velocities, 2 blocks."""
     n_clients, d = 40, 784
     rng = np.random.default_rng(0)
     shards = []
@@ -242,7 +247,8 @@ def test_round_peak_memory_is_one_block_plus_velocities(kind, rounds, max_blocks
                                   train=data[0], test=data[1]))
     arch = nn.mlp_architecture(d, 10, hidden_dim=128)
     block_bytes = n_clients * nn.init_params(arch, 0).vector.size * 8
-    cfg = fed.StrategyConfig(kind, rounds=rounds, epochs=rounds)
+    cfg = fed.StrategyConfig(kind, rounds=rounds, epochs=rounds,
+                             ifca_refinement_rounds=rounds, k_hypotheses=2)
     tracemalloc.start()
     try:
         fed.run_strategy(shards, arch, nn.OptimizerState(0.01, 0.9, batch_size=8),
@@ -301,6 +307,31 @@ def test_ifca_pretrained_per_cluster_models_are_a_fixed_point():
     truth = [s.cluster_id for s in shards]
     est = [out.assignments[s.client_id] for s in shards]
     assert compute_ari(truth, est) == 1.0
+
+
+def test_ifca_hypothesis_without_members_keeps_its_vector(monkeypatch):
+    """A hypothesis no client joins keeps its parameters bit for bit while
+    the one every client joins is averaged each round."""
+    shards = gaussian_shards(n_clients=4, seed=5)
+    arch = arch_for(shards)
+    shunned = nn.init_params(arch, 1)
+    shunned.values["out.b"][0] = 100.0  # class 0 for every sample: a huge loss
+    seen = {}
+
+    def spy(*args, models, **kwargs):
+        seen["models"], seen["before"] = models, [m.vector.tobytes() for m in models]
+        return run_rounds(*args, models=models, **kwargs)
+
+    run_rounds = fed._run_rounds
+    monkeypatch.setattr(fed, "_run_rounds", spy)
+    out = fed.train_ifca(shards, arch, opt(),
+                         fed.StrategyConfig("ifca", k_hypotheses=2,
+                                            ifca_refinement_rounds=3),
+                         SEED, initial_models=[nn.init_params(arch, 0), shunned])
+    assert set(out.assignments.values()) == {0}
+    used, idle = seen["models"]
+    assert idle.vector.tobytes() == seen["before"][1]
+    assert used.vector.tobytes() != seen["before"][0]
 
 
 def test_ifca_assignment_is_argmin_stable():

@@ -280,13 +280,25 @@ def two_temporary_average(models, weights):
 
 @pytest.mark.parametrize("k", [1, 2, 17])
 def test_average_matches_two_temporary_expression_bit_for_bit(k):
+    """`average_params`, and a `Fold` fed one model at a time through one
+    work buffer that it may overwrite (as the round loop feeds it), give the
+    reference's bits, signs of zeros included."""
     arch = nn.mlp_architecture(30, 5, hidden_dim=16)
     rng = np.random.default_rng(k)
     models = [nn.init_params(arch, s) for s in range(k)]
     models[-1] = models[0].copy()  # zero differences, signed zeros included
+    for i, m in enumerate(models):
+        m.vector[:8] = (-1.0) ** (i + 1) * 0.0  # -0.0 in the first model, then +0.0, -0.0, ...
     weights = rng.integers(1, 50, k)
-    assert_bits_equal(nn.average_params(models, weights).vector,
-                      two_temporary_average(models, weights))
+    weights[1:2] = 0  # a zero weight, from two models on
+    want = two_temporary_average(models, weights)
+    assert_bits_equal(nn.average_params(models, weights).vector, want)
+    fold = nn.Fold(weights)
+    work = np.empty_like(models[0].vector)
+    for m in models:
+        work[...] = m.vector
+        fold.add(work, work)
+    assert_bits_equal(fold.vector, want)
 
 
 def test_average_rejects_mixed_architectures():
@@ -377,6 +389,55 @@ def test_train_sgd_leaves_params_and_prox_target_unchanged():
     assert np.array_equal(params.vector, params_before)
     assert np.array_equal(target.vector, target_before)
     assert not np.array_equal(trained.vector, params_before)
+
+
+def test_step_with_caller_buffers_gives_the_bits_of_fresh_ones():
+    """`loss_and_grad(grads=...)` and `sgd_step(scratch=...)` fill the
+    caller's buffers with the bits the fresh-vector calls give, and change
+    no other argument: the gradient survives the step."""
+    arch = nn.mlp_architecture(6, 3, hidden_dim=5, stats_dim=2)
+    rng = np.random.default_rng(3)
+    X, y, stats = rng.random((9, 6)), rng.integers(0, 3, 9), rng.random(2)
+    params = nn.init_params(arch, 3)
+    params_before = params.vector.tobytes()
+    loss, grads = nn.loss_and_grad(params, arch, X, y, stats=stats)
+    buffer = params.from_flat(np.full_like(params.vector, np.nan))
+    loss_b, grads_b = nn.loss_and_grad(params, arch, X, y, stats=stats, grads=buffer)
+    assert grads_b is buffer and loss_b == loss
+    assert grads_b.vector.tobytes() == grads.vector.tobytes()
+    assert params.vector.tobytes() == params_before
+    grads_before = grads.vector.tobytes()
+    fresh, buffered = params.copy(), params.copy()
+    opt_f, opt_b = nn.OptimizerState(0.05, 0.9), nn.OptimizerState(0.05, 0.9)
+    scratch = np.full_like(params.vector, np.nan)
+    for _ in range(2):
+        nn.sgd_step(fresh, grads, opt_f)
+        nn.sgd_step(buffered, grads, opt_b, scratch)
+    assert buffered.vector.tobytes() == fresh.vector.tobytes()
+    assert opt_b.velocity.tobytes() == opt_f.velocity.tobytes()
+    assert grads.vector.tobytes() == grads_before
+
+
+@pytest.mark.parametrize("where", ["in_place", "into_other"])
+def test_train_sgd_into_out_gives_the_bits_of_a_copy(where):
+    arch = nn.mlp_architecture(6, 3, hidden_dim=5)
+    rng = np.random.default_rng(5)
+    X, y = rng.random((20, 6)), rng.integers(0, 3, 20)
+    params, target = nn.init_params(arch, 1), nn.init_params(arch, 2)
+
+    def train(start, out=None):
+        return nn.train_sgd(start, arch, X, y, nn.OptimizerState(0.05, 0.9, batch_size=8),
+                            2, np.random.default_rng(0), prox_target=target,
+                            prox_lambda=0.5, out=out)
+
+    want, want_losses = train(params)
+    start = params.copy()
+    out = start if where == "in_place" else params.from_flat(np.full_like(params.vector, np.nan))
+    got, losses = train(start, out)
+    assert got is out and losses == want_losses
+    assert got.vector.tobytes() == want.vector.tobytes()
+    if where == "into_other":
+        assert start.vector.tobytes() == params.vector.tobytes()
 
 
 def test_sgd_step_rejects_velocity_of_another_architecture():
