@@ -162,10 +162,11 @@ def strategy_config(entry: dict, training: TrainingSpec):
 
     Every federated baseline defaults to `epochs` rounds of one local epoch,
     so all methods see the same number of passes over local data; IFCA spends
-    the same budget as 5 refinement rounds. An unknown key, or a value that
-    `StrategyConfig` rejects, raises ConfigError.
+    the same budget as 5 refinement rounds. An unknown key, a key the kind
+    does not read (`STRATEGY_KEYS`), or a value that `StrategyConfig`
+    rejects, raises ConfigError.
     """
-    from .federation import StrategyConfig
+    from .federation import STRATEGY_KEYS, StrategyConfig
     entry = dict(entry)
     kind = entry.pop("kind", None)
     bad = set(entry) - set(StrategyConfig.__dataclass_fields__)
@@ -182,6 +183,9 @@ def strategy_config(entry: dict, training: TrainingSpec):
         cfg = StrategyConfig(kind=kind, **defaults)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"strategy {kind!r}: {exc}") from None
+    ignored = set(entry) - {"lr_schedule", *STRATEGY_KEYS[kind]}
+    if ignored:
+        raise ConfigError(f"{kind} strategy does not read keys: {sorted(ignored)}")
     if kind == "ifca" and "local_epochs_per_round" not in entry:
         cfg.local_epochs_per_round = max(1, round(training.epochs
                                                   / cfg.ifca_refinement_rounds))

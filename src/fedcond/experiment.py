@@ -148,6 +148,21 @@ def build_architectures(config: ExperimentConfig,
     return base, cond
 
 
+def _fingerprinted_shards(config: ExperimentConfig, timings: dict | None = None
+                          ) -> tuple[list[ClientShard], np.ndarray]:
+    """The dataset, partition and fingerprint stages: the client shards, each
+    with its standardized fingerprint set, and those fingerprints' rows."""
+    with _stage("dataset", timings):
+        pair = load_dataset_pair(config.dataset, config.seed)
+    with _stage("partition", timings):
+        shards = build_partition(config, pair)
+        del pair  # every shard holds its own rows; no later stage reads the source
+    with _stage("fingerprint", timings):
+        fingerprints = fingerprint_all(shards, shards[0].train.class_count,
+                                       l=config.stats.l)
+    return shards, fingerprints
+
+
 # --------------------------------------------------------------------------
 # single run
 # --------------------------------------------------------------------------
@@ -160,16 +175,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     created: list[Path] = []
     timings: dict[str, float] = {}
     try:
-        with _stage("dataset", timings):
-            pair = load_dataset_pair(config.dataset, config.seed)
-        with _stage("partition", timings):
-            shards = build_partition(config, pair)
-            del pair  # every shard holds its own rows; no later stage reads the source
+        shards, fingerprints = _fingerprinted_shards(config, timings)
+        with _stage("partition", timings):  # report.json keeps its stage names
             base_arch, cond_arch = build_architectures(config, shards)
-        with _stage("fingerprint", timings):
-            fingerprints = fingerprint_all(shards, shards[0].train.class_count,
-                                           l=config.stats.l)
-
         out.mkdir(parents=True, exist_ok=True)
         log_path = out / "train_log.jsonl"
         opt = OptimizerState(config.training.learning_rate, config.training.momentum,
@@ -249,14 +257,7 @@ def fingerprint_only(config: ExperimentConfig, out_dir=None) -> Path:
     """
     config.validate()
     out = Path(out_dir or config.out_dir or Path("runs") / config.name)
-    with _stage("dataset"):
-        pair = load_dataset_pair(config.dataset, config.seed)
-    with _stage("partition"):
-        shards = build_partition(config, pair)
-        del pair
-    with _stage("fingerprint"):
-        fingerprints = fingerprint_all(shards, shards[0].train.class_count,
-                                       l=config.stats.l)
+    shards, fingerprints = _fingerprinted_shards(config)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "fingerprints.json"
     doc = {

@@ -1,7 +1,8 @@
-"""Training strategies and per-client evaluation. Conditional and Oracle
-train pooled data with `train_pooled`; Local, FedAvg, Gossip, IFCA, DAC and
-Ditto share one round loop, `_run_rounds` (local passes, then a mix that only
-the strategy defines).
+"""Training strategies and per-client evaluation. All eight strategies train
+in one round loop, `_run_rounds` (passes over each training set, then a mix
+that only the strategy defines). Conditional and Oracle are pooled: one
+training set stacked from the clients (per cluster for Oracle) with the
+identity mix.
 
 Seeding conventions (all deliberate, so the degeneracy identities hold
 bit-exactly): every strategy initializes parameters from the run seed, and
@@ -18,14 +19,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_field_types
+from .data import Dataset
 from .heterogeneity import ClientShard
 from .nn import (Architecture, Fold, ModelParams, OptimizerState, forward,
                  init_params, mean_cross_entropy, train_sgd)
 
 log = logging.getLogger(__name__)
 
-STRATEGY_KINDS = ("conditional", "local", "fedavg", "gossip", "oracle",
-                  "ifca", "dac", "ditto")
+# the StrategyConfig fields each kind reads, besides `kind` and `lr_schedule`
+_ROUNDS = ("rounds", "local_epochs_per_round")
+STRATEGY_KEYS = {
+    "conditional": ("epochs",), "local": ("epochs",), "fedavg": _ROUNDS,
+    "gossip": _ROUNDS + ("gossip_pairs_per_round",), "oracle": ("epochs",),
+    "ifca": ("local_epochs_per_round", "k_hypotheses", "ifca_refinement_rounds"),
+    "dac": _ROUNDS + ("dac_temperature",), "ditto": _ROUNDS + ("ditto_lambda",),
+}
+STRATEGY_KINDS = tuple(STRATEGY_KEYS)
 
 
 def child_seed(*keys: int) -> int:
@@ -112,63 +121,53 @@ def _emit(sink, records: list[dict], record: dict):
         sink(record)
 
 
-def mean_shard_loss(params: ModelParams, arch: Architecture, shard: ClientShard,
-                    stats: np.ndarray | None = None) -> float:
-    logits = forward(params, arch, shard.train.X, stats=stats)
+def mean_shard_loss(params: ModelParams, arch: Architecture, shard: ClientShard) -> float:
+    logits = forward(params, arch, shard.train.X)
     return mean_cross_entropy(np.atleast_2d(logits), shard.train.y)
 
 
-def train_pooled(X: np.ndarray, y: np.ndarray, arch: Architecture,
-                 opt: OptimizerState, epochs: int, seed: int,
-                 stats_rows: np.ndarray | None = None,
-                 log_sink=None, tag: str = "pooled",
-                 lr_schedule: str = "constant") -> tuple[ModelParams, list[dict]]:
-    """Centralized SGD on one pooled dataset; the building block for the
-    conditional and oracle strategies."""
-    params = init_params(arch, np.random.default_rng(seed))
-    state = opt.clone_config()
-    rng = np.random.default_rng(seed)
-    records: list[dict] = []
-    for epoch in range(epochs):
-        state.learning_rate = lr_at(opt.learning_rate, epoch, epochs, lr_schedule)
-        params, losses = train_sgd(params, arch, X, y, state, 1, rng,
-                                   stats_rows=stats_rows)
-        _emit(log_sink, records, {"round": epoch, "strategy": tag,
-                                  "mean_train_loss": losses[0]})
-    return params, records
+def _pooled(shards: list[ClientShard]) -> Dataset:
+    """The clients' training sets stacked in client order."""
+    first = shards[0].train
+    return Dataset("pooled", np.vstack([s.train.X for s in shards]),
+                   np.concatenate([s.train.y for s in shards]),
+                   first.class_count, first.input_shape)
 
 
 def _by_client(shards: list[ClientShard], values: list) -> dict:
     return {s.client_id: v for s, v in zip(shards, values)}
 
 
-def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
+def _run_rounds(sets: list[Dataset], arch: Architecture, opt: OptimizerState,
                 cfg: StrategyConfig, seed: int, mix, log_sink, *,
+                stats_rows: list[np.ndarray | None] | None = None,
                 models: list[ModelParams] | None = None, assign: list[int] | None = None,
                 rounds: int | None = None, epochs_per_round: int | None = None,
                 round_loss=lambda losses: float(np.mean(losses))
                 ) -> tuple[list[ModelParams], list[dict]]:
-    """The round loop of the federated baselines: local passes, then a mix.
+    """The round loop of all eight strategies: passes over each training set
+    (each client's, or one set pooled from clients), then a mix.
 
-    Each round every client runs `epochs_per_round` passes of `train_sgd`
-    (default `cfg.local_epochs_per_round`), drawing batches from its own
-    generator seeded with the run seed; `round_loss` of the clients' mean
+    Each round every set runs `epochs_per_round` passes of `train_sgd`
+    (default `cfg.local_epochs_per_round`), with `stats_rows[i]` as the
+    conditioning rows of set i's samples when given, drawing batches from
+    its own generator seeded with the run seed; `round_loss` of the sets' mean
     training losses is logged, then `mix(mixed, lr)` runs. Runs `rounds`
-    rounds (default `cfg.rounds`) and returns each client's model after the
-    last mix, and the log records. Clients hold their models in one of two
+    rounds (default `cfg.rounds`) and returns each set's model after the
+    last mix, and the log records. Sets hold their models in one of two
     ways, and no pass allocates a model:
 
-    - Block (no `assign`: Local, Gossip, DAC). All clients' models live in
-      one `(clients, P)` block allocated for the run, row i seeded and then
-      trained in place for client i, with momentum kept across rounds and
-      dropped after the client's last pass. `mix` gets the block to mix in
-      place. N clients hold about 2 blocks at the peak (the block and the
-      velocities), 1 in a one-round run.
-    - Fold (`assign` given: FedAvg, IFCA, Ditto's global branch). Client i
+    - Block (no `assign`: Local, Gossip, DAC, the pooled kinds). All sets'
+      models live in one `(sets, P)` block allocated for the run, row i
+      seeded and then trained in place for set i, with momentum kept across
+      rounds and dropped after the set's last pass. `mix` gets the block to
+      mix in place. N sets hold about 2 blocks at the peak (the block and
+      the velocities), 1 in a one-round run.
+    - Fold (`assign` given: FedAvg, IFCA, Ditto's global branch). Set i
       trains from `models[assign[i]]` (`models` defaults to the seeded init
       alone) into one work vector, with momentum reset by zeroing one
       shared velocity before each pass, and is folded at once into its
-      group's `Fold` with its sample count as weight. Clients run in order,
+      group's `Fold` with its sample count as weight. Sets run in order,
       so each group's mean has the bits of `average_params` over its
       members. After the round each group with members takes its mean and
       an empty group keeps its vector; `mix` gets `models` and may change
@@ -178,20 +177,21 @@ def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     rounds = rounds or cfg.rounds
     epochs_per_round = epochs_per_round or cfg.local_epochs_per_round
     init = init_params(arch, np.random.default_rng(seed))
-    rngs = [np.random.default_rng(seed) for _ in shards]
+    stats_rows = stats_rows or [None] * len(sets)
+    rngs = [np.random.default_rng(seed) for _ in sets]
     if assign is None:
-        mixed = np.empty((len(shards), init.vector.size))
+        mixed = np.empty((len(sets), init.vector.size))
         mixed[...] = init.vector
         starts = dests = [init.from_flat(row) for row in mixed]
-        states = [opt.clone_config() for _ in shards]
+        states = [opt.clone_config() for _ in sets]
     else:
         mixed = models = models or [init]
-        weights = [len(s.train) for s in shards]
+        weights = [len(s) for s in sets]
         starts = [models[a] for a in assign]
-        dests = [init.from_flat(np.empty_like(init.vector))] * len(shards)
+        dests = [init.from_flat(np.empty_like(init.vector))] * len(sets)
         reset = opt.clone_config()  # every pass zeroes its velocity first
         reset.velocity = np.empty_like(init.vector)
-        states = [reset] * len(shards)
+        states = [reset] * len(sets)
     del init
     records: list[dict] = []
     for rnd in range(rounds):
@@ -200,19 +200,19 @@ def _run_rounds(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
             folds = {h: Fold([w for w, a in zip(weights, assign) if a == h])
                      for h in set(assign)}
         losses = []
-        for i, shard in enumerate(shards):
+        for i, data in enumerate(sets):
             state = states[i]
             state.learning_rate = lr
             if assign is not None:
                 state.velocity[...] = 0.0
-            trained, epoch_losses = train_sgd(starts[i], arch, shard.train.X,
-                                              shard.train.y, state,
-                                              epochs_per_round, rngs[i], out=dests[i])
+            trained, epoch_losses = train_sgd(starts[i], arch, data.X, data.y, state,
+                                              epochs_per_round, rngs[i],
+                                              stats_rows=stats_rows[i], out=dests[i])
             if assign is not None:
                 folds[assign[i]].add(trained.vector, trained.vector)
             losses.append(np.mean(epoch_losses))
             if rnd == rounds - 1:
-                states[i] = None  # nothing reads a client's momentum after its last pass
+                states[i] = None  # nothing reads a set's momentum after its last pass
         if assign is not None:
             for h, fold in folds.items():
                 models[h] = models[h].from_flat(fold.vector)
@@ -246,12 +246,11 @@ def train_conditional(shards: list[ClientShard], arch: Architecture,
         if s.stats.shape != (arch.stats_dim,):
             raise ValueError(f"client {s.client_id}: fingerprint length "
                              f"{s.stats.shape} != stats_dim {arch.stats_dim}")
-    X = np.vstack([s.train.X for s in shards])
-    y = np.concatenate([s.train.y for s in shards])
     stats_rows = np.vstack([np.tile(s.stats, (len(s.train), 1)) for s in shards])
-    params, records = train_pooled(X, y, arch, opt, cfg.epochs, seed,
-                                   stats_rows=stats_rows, log_sink=log_sink,
-                                   tag="conditional", lr_schedule=cfg.lr_schedule)
+    (params,), records = _run_rounds([_pooled(shards)], arch, opt, cfg, seed,
+                                      lambda block, lr: None, log_sink,
+                                      stats_rows=[stats_rows], rounds=cfg.epochs,
+                                      epochs_per_round=1)
     return TrainedOutcome(
         strategy="conditional", arch=arch,
         client_params={s.client_id: params for s in shards},
@@ -263,7 +262,7 @@ def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
                 cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
     """Each client trains independently on its own shard: `epochs` rounds of
     one pass, mixed with the identity."""
-    params, records = _run_rounds(shards, arch, opt, cfg, seed,
+    params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
                                   lambda block, lr: None, log_sink,
                                   rounds=cfg.epochs, epochs_per_round=1)
     return TrainedOutcome("local", arch, _by_client(shards, params), log=records)
@@ -274,8 +273,8 @@ def train_fedavg(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
     """Server-side sample-weighted averaging of per-round local updates."""
     weights = [len(s.train) for s in shards]
     params, records = _run_rounds(
-        shards, arch, opt, cfg, seed, lambda models, lr: None, log_sink,
-        assign=[0] * len(shards),
+        [s.train for s in shards], arch, opt, cfg, seed, lambda models, lr: None,
+        log_sink, assign=[0] * len(shards),
         round_loss=lambda losses: float(np.average(losses, weights=weights)))
     return TrainedOutcome("fedavg", arch, _by_client(shards, params), log=records)
 
@@ -304,7 +303,8 @@ def train_gossip(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
             pair.add(block[b])
             block[a] = block[b] = pair.vector
 
-    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink)
+    params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
+                                  mix, log_sink)
     return TrainedOutcome("gossip", arch, _by_client(shards, params), log=records)
 
 
@@ -319,11 +319,9 @@ def train_oracle(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
     client_params: dict[int, ModelParams] = {}
     for k in cluster_ids:
         members = [s for s in shards if s.cluster_id == k]
-        X = np.vstack([s.train.X for s in members])
-        y = np.concatenate([s.train.y for s in members])
-        params, recs = train_pooled(X, y, arch, opt, cfg.epochs, seed,
-                                    log_sink=None, tag="oracle",
-                                    lr_schedule=cfg.lr_schedule)
+        (params,), recs = _run_rounds([_pooled(members)], arch, opt, cfg, seed,
+                                      lambda block, lr: None, None,
+                                      rounds=cfg.epochs, epochs_per_round=1)
         for r in recs:
             r["cluster_id"] = k
             _emit(log_sink, records, r)
@@ -369,7 +367,7 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
                               sorted(range(len(losses)), key=assign.__getitem__)]))
 
     reassign()
-    params, records = _run_rounds(shards, arch, opt, cfg, seed,
+    params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
                                   lambda models, lr: reassign(), log_sink,
                                   models=models, assign=assign,
                                   rounds=cfg.ifca_refinement_rounds,
@@ -471,7 +469,8 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
         nonlocal weights_matrix
         weights_matrix = _dac_mix(block, cfg.dac_temperature)
 
-    params, records = _run_rounds(shards, arch, opt, cfg, seed, mix, log_sink)
+    params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
+                                  mix, log_sink)
     clusters = _affinity_clusters(weights_matrix)
     return TrainedOutcome("dac", arch, _by_client(shards, params),
                           assignments=_by_client(shards, clusters), log=records)
@@ -498,7 +497,8 @@ def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
                       prox_lambda=cfg.ditto_lambda, out=personal[i])
 
     _, records = _run_rounds(
-        shards, arch, opt, cfg, seed, mix, log_sink, assign=[0] * len(shards),
+        [s.train for s in shards], arch, opt, cfg, seed, mix, log_sink,
+        assign=[0] * len(shards),
         round_loss=lambda losses: float(np.average(losses, weights=weights)))
     return TrainedOutcome("ditto", arch, _by_client(shards, personal), log=records)
 

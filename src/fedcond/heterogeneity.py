@@ -28,6 +28,7 @@ from .data import Dataset, DatasetPair, rotate_rows
 
 ROTATION_ORDER = (0, 180, 90, 270)
 
+# named sparsity levels as clients per cluster
 SPARSITY_LEVELS = {
     "Rich": 5,
     "Medium": 10,
@@ -35,11 +36,6 @@ SPARSITY_LEVELS = {
     "VerySparse": 50,
     "SuperSparse": 100,
 }
-
-
-def sparsity_levels() -> dict[str, int]:
-    """Named sparsity levels as clients per cluster (Rich=5 ... SuperSparse=100)."""
-    return dict(SPARSITY_LEVELS)
 
 
 @dataclass
@@ -96,13 +92,6 @@ def permutation_rule(perm: tuple[int, ...], name: str | None = None) -> LabelRul
     if sorted(perm) != list(range(len(perm))):
         raise ValueError(f"not a permutation: {perm}")
     return LabelRule(name or f"perm{list(perm)}", tuple(perm))
-
-
-def inverse_rule(rule: LabelRule) -> LabelRule:
-    inv = [0] * len(rule.table)
-    for i, p in enumerate(rule.table):
-        inv[p] = i
-    return LabelRule(f"inv({rule.name})", tuple(inv))
 
 
 NAMED_RULES = {

@@ -23,8 +23,7 @@ from fedcond.data import MNIST_FILES
 from fedcond.experiment import run_experiment
 from fedcond.federation import (StrategyConfig, child_seed, evaluate,
                                 train_ditto, train_fedavg, train_gossip,
-                                train_ifca, train_local, train_oracle,
-                                train_pooled)
+                                train_ifca, train_local, train_oracle)
 from fedcond.heterogeneity import ClientShard
 from fedcond.metrics import compute_ari
 
@@ -222,7 +221,11 @@ def test_criterion_06_strategy_degeneracies():
     orc = train_oracle(one_cluster, arch, opt, StrategyConfig("oracle", epochs=6), SEED)
     X = np.vstack([s.train.X for s in one_cluster])
     y = np.concatenate([s.train.y for s in one_cluster])
-    central, _ = train_pooled(X, y, arch, opt, 6, SEED)
+    # centralized SGD, independent of the strategies' round loop
+    central, rng = nn.init_params(arch, SEED), np.random.default_rng(SEED)
+    state = opt.clone_config()
+    for _ in range(6):
+        central, _ = nn.train_sgd(central, arch, X, y, state, 1, rng)
     d_oracle = dist(orc.client_params[0], central)
 
     for name, d in [("ifca(K=1)=fedavg", d_ifca), ("ditto(0)=local", d_ditto),

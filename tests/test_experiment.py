@@ -246,12 +246,14 @@ MULTI_ROUND = {
                    {"kind": "ditto", "ditto_lambda": 0.0}],
 }
 
-# sha256 of the run's CSVs, recorded with numpy 2.4 and OpenBLAS 0.3.31 on
+# sha256 of the run's CSVs and train log (Oracle's records carry their
+# cluster ids), recorded with numpy 2.4 and OpenBLAS 0.3.31 on
 # x86-64; a BLAS with a different summation order can change the last bits of
 # training and so these digests.
 MULTI_ROUND_SHA256 = {
     "summary.csv": "d3e3ef73969ea9a3e58748ed1e61614405b735cd7edf96f0343df12fb4e6c9ea",
     "detail.csv": "413cf3d1e04a3170aa7197da80373cd45045f84a276193844c5af8f01978f6c1",
+    "train_log.jsonl": "8591f152db37bac4bfa8b97699b2370d0641f5b05798d76abd7a50460d49e134",
 }
 
 
@@ -436,6 +438,14 @@ def test_cli_rejects_bad_config(tmp_path):
      "unknown fedavg strategy keys: ['bogus']"),
     ({"strategies": [{"kind": "ditto", "local_epochs_per_round": 0}]},
      "local_epochs_per_round must be"),
+    ({"strategies": [{"kind": "fedavg", "epochs": 50}]},
+     "fedavg strategy does not read keys: ['epochs']"),
+    ({"strategies": [{"kind": "local", "rounds": 50}]},
+     "local strategy does not read keys: ['rounds']"),
+    ({"strategies": [{"kind": "ifca", "rounds": 9}]},
+     "ifca strategy does not read keys: ['rounds']"),
+    ({"strategies": [{"kind": "fedavg", "k_hypotheses": 3}]},
+     "fedavg strategy does not read keys: ['k_hypotheses']"),
     ({"stats": {"method": "dense"}}, "unknown StatsSpec keys: ['method']"),
     ({"stats": {"extractor": "identity"}}, "unknown StatsSpec keys: ['extractor']"),
     ({"training": {"epochs": "3"}}, "training.epochs must be an integer, got '3'"),
@@ -460,7 +470,8 @@ def test_cli_rejects_bad_config(tmp_path):
     ({"heterogeneity": {"family": "E4b", "covariate_clusters": 1}},
      "family E4b needs covariate_clusters >= 2, got 1"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
-        "ditto-local-epochs-0", "stats-method", "stats-extractor",
+        "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
+        "ifca-rounds-ignored", "fedavg-k-ignored", "stats-method", "stats-extractor",
         "epochs-str", "l-str", "K-str", "cap-str", "strategy-int", "seed-str",
         "seed-bool", "batch-size-float", "momentum-str", "lr-negative",
         "momentum-1", "ditto-lambda-str", "K-0", "rule-unknown",

@@ -60,6 +60,17 @@ def dist(a, b):
     return float(np.linalg.norm(a.vector - b.vector))
 
 
+def centralized(X, y, arch, opt, epochs, seed, stats_rows=None):
+    """Reference centralized SGD, independent of the strategies' round loop:
+    a seeded init, then `epochs` single passes of `nn.train_sgd` sharing one
+    generator seeded with `seed` and one momentum state."""
+    params = nn.init_params(arch, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        params, _ = nn.train_sgd(params, arch, X, y, opt, 1, rng, stats_rows=stats_rows)
+    return params
+
+
 # ------------------------------------------------------- degeneracy identities
 
 def test_ifca_k1_equals_fedavg():
@@ -106,7 +117,7 @@ def test_oracle_k1_equals_centralized_equals_single_client_fedavg():
                            fed.StrategyConfig("oracle", epochs=6), SEED)
     X = np.vstack([s.train.X for s in one_cluster])
     y = np.concatenate([s.train.y for s in one_cluster])
-    central, _ = fed.train_pooled(X, y, arch, opt(), 6, SEED)
+    central = centralized(X, y, arch, opt(), 6, SEED)
     assert dist(orc.client_params[0], central) == 0.0
 
     merged_train = Dataset("pool", X, y, 2, (2,))
@@ -297,8 +308,7 @@ def test_ifca_pretrained_per_cluster_models_are_a_fixed_point():
         members = [s for s in shards if s.cluster_id == cid]
         X = np.vstack([s.train.X for s in members])
         y = np.concatenate([s.train.y for s in members])
-        params, _ = fed.train_pooled(X, y, arch, opt(), 20, SEED + cid)
-        models.append(params)
+        models.append(centralized(X, y, arch, opt(), 20, SEED + cid))
     out = fed.train_ifca(shards, arch, opt(),
                          fed.StrategyConfig("ifca", k_hypotheses=2,
                                             ifca_refinement_rounds=1,
@@ -412,8 +422,8 @@ def test_conditional_single_client_is_centralized_with_constant_stats():
     out = fed.train_conditional(shards, arch, opt(),
                                 fed.StrategyConfig("conditional", epochs=5), SEED)
     stats_rows = np.tile(shards[0].stats, (len(shards[0].train), 1))
-    central, _ = fed.train_pooled(shards[0].train.X, shards[0].train.y, arch,
-                                  opt(), 5, SEED, stats_rows=stats_rows)
+    central = centralized(shards[0].train.X, shards[0].train.y, arch, opt(), 5, SEED,
+                          stats_rows=stats_rows)
     assert dist(out.client_params[0], central) == 0.0
 
 

@@ -179,13 +179,6 @@ def test_derangements_distinct_no_fixed_points():
         assert all(r.table[i] != i for i in range(10))
 
 
-def test_permutation_round_trip():
-    rule = het.sample_derangements(10, 1, seed=3)[0]
-    inv = het.inverse_rule(rule)
-    y = np.arange(10)
-    assert np.array_equal(inv.apply(rule.apply(y)), y)
-
-
 def test_concept_permutation_cluster0_identity():
     pair = tiny_pair()
     shards = het.partition_concept_permutation(pair, K=2, clients_per_cluster=2, seed=7)
@@ -249,14 +242,13 @@ def test_combined_rejects_overlapping_covariate_sets():
 # ------------------------------------------------------------------- sparsity
 
 def test_sparsity_level_table():
-    levels = het.sparsity_levels()
-    assert levels == {"Rich": 5, "Medium": 10, "Sparse": 25,
+    assert het.SPARSITY_LEVELS == {"Rich": 5, "Medium": 10, "Sparse": 25,
                       "VerySparse": 50, "SuperSparse": 100}
 
 
 def test_sparsity_samples_per_client_strictly_decreasing():
     pool = 30000  # e.g. a K=2 cluster of a 60k-image dataset
-    per_client = [pool / c for c in het.sparsity_levels().values()]
+    per_client = [pool / c for c in het.SPARSITY_LEVELS.values()]
     assert per_client[0] == 6000  # Rich on the MNIST-sized pool
     assert pool / 100 == 300      # SuperSparse
     assert all(a > b for a, b in zip(per_client, per_client[1:]))
