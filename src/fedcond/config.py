@@ -89,10 +89,8 @@ class HeterogeneitySpec:
     clients_per_cluster: int = 5
     sparsity: str | None = None           # named level; overrides clients_per_cluster
     superclass: str = "parity"            # E2a
-    subclass_sets: list[list[int]] | None = None   # E2a
     rules: list[str] = field(default_factory=lambda: ["parity", "threshold5"])  # E3a/E4b
     covariate_clusters: int = 2           # E4b
-    covariate_sets: list[list[int]] | None = None  # E4b explicit override
     dataset_b: DatasetSpec | None = None  # E4a
 
     def validate(self):

@@ -21,8 +21,8 @@ from .config import (ConfigError, DatasetSpec, ExperimentConfig, SuiteConfig,
                      strategy_config)
 from .data import (Dataset, DatasetPair, GaussianClusterSpec, glyph_pair,
                    load_mnist_like, subsample_per_class, synth_clusters)
-from .federation import (OptimizerState, TrainedOutcome, child_seed, evaluate,
-                         run_strategy)
+from .federation import (OptimizerState, StrategyConfig, TrainedOutcome, child_seed,
+                         evaluate, run_strategy)
 from .heterogeneity import (ClientShard, class_blocks, paired_covariate_sets,
                             partition_combined, partition_concept_permutation,
                             partition_concept_semantic, partition_covariate_rotation,
@@ -113,8 +113,8 @@ def build_partition(config: ExperimentConfig,
         return partition_label_shift(pair, het.K, cpc, seed)
     if family == "E2a":
         superclass = rule_from_name(het.superclass, C)
-        sets = het.subclass_sets or class_blocks(C, het.K)
-        return partition_covariate_subclass(pair, superclass, sets, cpc, seed)
+        return partition_covariate_subclass(pair, superclass, class_blocks(C, het.K),
+                                            cpc, seed)
     if family == "E2b":
         return partition_covariate_rotation(pair, het.K, cpc, seed)
     if family == "E3a":
@@ -127,25 +127,20 @@ def build_partition(config: ExperimentConfig,
         return partition_domain_shift(pair, pair_b, cpc, seed)
     if family == "E4b":
         rules = [rule_from_name(r, C) for r in het.rules]
-        sets = het.covariate_sets or paired_covariate_sets(C, het.covariate_clusters)
+        sets = paired_covariate_sets(C, het.covariate_clusters)
         return partition_combined(pair, rules, sets, cpc, seed)
     raise ConfigError(f"unknown family {family!r}")
 
 
 def build_architectures(config: ExperimentConfig,
-                        shards: list[ClientShard]) -> tuple[Architecture, Architecture]:
-    """(plain backbone, conditional backbone) for the partition's label space."""
+                        shards: list[ClientShard]) -> Architecture:
+    """The backbone for the partition's label space, which every strategy
+    gets; a conditional strategy widens it by the fingerprint length."""
     class_count = shards[0].train.class_count
     tr = config.training
     if tr.architecture == "mnist_cnn":
-        base = cnn_architecture(class_count, tr.hidden_dim)
-        cond = cnn_architecture(class_count, tr.hidden_dim, stats_dim=config.stats.l)
-    else:
-        input_size = shards[0].train.X.shape[1]
-        base = mlp_architecture(input_size, class_count, tr.hidden_dim)
-        cond = mlp_architecture(input_size, class_count, tr.hidden_dim,
-                                stats_dim=config.stats.l)
-    return base, cond
+        return cnn_architecture(class_count, tr.hidden_dim)
+    return mlp_architecture(shards[0].train.X.shape[1], class_count, tr.hidden_dim)
 
 
 def _fingerprinted_shards(config: ExperimentConfig, timings: dict | None = None
@@ -177,13 +172,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     try:
         shards, fingerprints = _fingerprinted_shards(config, timings)
         with _stage("partition", timings):  # report.json keeps its stage names
-            base_arch, cond_arch = build_architectures(config, shards)
+            arch = build_architectures(config, shards)
         out.mkdir(parents=True, exist_ok=True)
         log_path = out / "train_log.jsonl"
         opt = OptimizerState(config.training.learning_rate, config.training.momentum,
                              config.training.batch_size)
         true_ids = [s.cluster_id for s in shards]
-        k_total = len(set(true_ids))
         results: list[StrategyResult] = []
         with open(log_path, "w") as log_f:
             created.append(log_path)
@@ -193,27 +187,22 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 
             for entry in config.strategies:
                 cfg = strategy_config(entry, config.training)
-                if cfg.kind == "ifca" and cfg.k_hypotheses is None:
-                    cfg.k_hypotheses = k_total  # true cluster count provided
-                arch = cond_arch if cfg.kind == "conditional" else base_arch
                 with _stage(f"train:{cfg.kind}", timings):
                     outcome = run_strategy(shards, arch, opt, cfg, config.seed,
                                            log_sink=sink)
                 with _stage(f"evaluate:{cfg.kind}", timings):
                     accs, mean_acc = evaluate(outcome, shards)
-                results.append(_strategy_result(outcome, shards, accs, mean_acc,
-                                                true_ids))
+                results.append(_strategy_result(outcome, cfg, shards, accs,
+                                                mean_acc, true_ids))
 
         report = RunReport(
             run_id=config.name,
             config=config.to_dict(),
-            provenance=dict(PROVENANCE,
-                            round_budget=f"{config.training.epochs}x1",
-                            lr_schedule=config.training.lr_schedule,
+            provenance=dict(PROVENANCE, lr_schedule=config.training.lr_schedule,
                             thread_env=thread_env()),
             dataset=config.dataset.name,
             family=config.heterogeneity.family,
-            cluster_count=k_total,
+            cluster_count=len(set(true_ids)),
             sparsity=config.heterogeneity.sparsity,
             client_ids=[s.client_id for s in shards],
             true_clusters=[int(c) for c in true_ids],
@@ -232,8 +221,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         raise
 
 
-def _strategy_result(outcome: TrainedOutcome, shards, accs, mean_acc,
-                     true_ids) -> StrategyResult:
+def _strategy_result(outcome: TrainedOutcome, cfg: StrategyConfig, shards, accs,
+                     mean_acc, true_ids) -> StrategyResult:
     assignments = None
     ari = None
     if outcome.assignments is not None:
@@ -245,6 +234,7 @@ def _strategy_result(outcome: TrainedOutcome, shards, accs, mean_acc,
         mean_accuracy=mean_acc,
         ari=ari,
         assignments=assignments,
+        schedule=list(cfg.schedule),
         train_log=outcome.log,
     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,12 +45,8 @@ def child_seed(*keys: int) -> int:
 
 @dataclass
 class StrategyConfig:
-    """Hyperparameters for one strategy run.
-
-    `epochs` is the pooled/local pass budget; federated kinds run `rounds`
-    rounds of `local_epochs_per_round` passes each. IFCA spends its budget as
-    `ifca_refinement_rounds` rounds of `local_epochs_per_round` passes.
-    """
+    """Hyperparameters for one strategy run; `schedule` says how many rounds
+    of how many passes the kind runs."""
 
     kind: str
     epochs: int = 20
@@ -85,6 +81,18 @@ class StrategyConfig:
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
+    @property
+    def schedule(self) -> tuple[int, int]:
+        """(rounds, passes per round), from the fields `STRATEGY_KEYS` lists
+        for the kind: the pooled kinds and Local run `epochs` rounds of one
+        pass, IFCA `ifca_refinement_rounds` rounds of `local_epochs_per_round`
+        passes, and the other federated kinds `rounds` rounds of them."""
+        if self.kind == "ifca":
+            return self.ifca_refinement_rounds, self.local_epochs_per_round
+        if "epochs" in STRATEGY_KEYS[self.kind]:
+            return self.epochs, 1
+        return self.rounds, self.local_epochs_per_round
+
 
 LR_FLOOR = 0.05
 
@@ -99,20 +107,15 @@ def lr_at(base_lr: float, step: int, total: int, schedule: str) -> float:
 
 @dataclass
 class TrainedOutcome:
-    """What a strategy hands to evaluation: one usable prediction function per
-    client (possibly all sharing one parameter set), plus diagnostics."""
+    """What a strategy hands to evaluation: one parameter set per client
+    (possibly all sharing one), the architecture they run under (conditioned
+    on each client's fingerprint iff `arch.conditional`), plus diagnostics."""
 
     strategy: str
     arch: Architecture
     client_params: dict[int, ModelParams]
-    client_stats: dict[int, np.ndarray] | None = None
     assignments: dict[int, int] | None = None
     log: list[dict] = field(default_factory=list)
-
-    def predict_logits(self, client_id: int, X: np.ndarray) -> np.ndarray:
-        params = self.client_params[client_id]
-        stats = self.client_stats[client_id] if self.client_stats is not None else None
-        return forward(params, self.arch, X, stats=stats)
 
 
 def _emit(sink, records: list[dict], record: dict):
@@ -142,20 +145,18 @@ def _run_rounds(sets: list[Dataset], arch: Architecture, opt: OptimizerState,
                 cfg: StrategyConfig, seed: int, mix, log_sink, *,
                 stats_rows: list[np.ndarray | None] | None = None,
                 models: list[ModelParams] | None = None, assign: list[int] | None = None,
-                rounds: int | None = None, epochs_per_round: int | None = None,
                 round_loss=lambda losses: float(np.mean(losses))
                 ) -> tuple[list[ModelParams], list[dict]]:
     """The round loop of all eight strategies: passes over each training set
     (each client's, or one set pooled from clients), then a mix.
 
-    Each round every set runs `epochs_per_round` passes of `train_sgd`
-    (default `cfg.local_epochs_per_round`), with `stats_rows[i]` as the
+    Runs the rounds of `cfg.schedule`. Each round every set runs the
+    schedule's passes of `train_sgd`, with `stats_rows[i]` as the
     conditioning rows of set i's samples when given, drawing batches from
     its own generator seeded with the run seed; `round_loss` of the sets' mean
-    training losses is logged, then `mix(mixed, lr)` runs. Runs `rounds`
-    rounds (default `cfg.rounds`) and returns each set's model after the
-    last mix, and the log records. Sets hold their models in one of two
-    ways, and no pass allocates a model:
+    training losses is logged, then `mix(mixed, lr)` runs. Returns each set's
+    model after the last mix, and the log records. Sets hold their models in
+    one of two ways, and no pass allocates a model:
 
     - Block (no `assign`: Local, Gossip, DAC, the pooled kinds). All sets'
       models live in one `(sets, P)` block allocated for the run, row i
@@ -174,8 +175,7 @@ def _run_rounds(sets: list[Dataset], arch: Architecture, opt: OptimizerState,
       `models` and `assign` in place. No block exists: the run holds the
       groups' models and a few P-vectors.
     """
-    rounds = rounds or cfg.rounds
-    epochs_per_round = epochs_per_round or cfg.local_epochs_per_round
+    rounds, passes = cfg.schedule
     init = init_params(arch, np.random.default_rng(seed))
     stats_rows = stats_rows or [None] * len(sets)
     rngs = [np.random.default_rng(seed) for _ in sets]
@@ -206,7 +206,7 @@ def _run_rounds(sets: list[Dataset], arch: Architecture, opt: OptimizerState,
             if assign is not None:
                 state.velocity[...] = 0.0
             trained, epoch_losses = train_sgd(starts[i], arch, data.X, data.y, state,
-                                              epochs_per_round, rngs[i],
+                                              passes, rngs[i],
                                               stats_rows=stats_rows[i], out=dests[i])
             if assign is not None:
                 folds[assign[i]].add(trained.vector, trained.vector)
@@ -235,27 +235,23 @@ def train_conditional(shards: list[ClientShard], arch: Architecture,
                       log_sink=None) -> TrainedOutcome:
     """Pooled training of a single model conditioned on client fingerprints.
 
-    Every sample becomes (x, s_i, y) with its owner's fingerprint; the pooled
-    set is shuffled per epoch and one shared parameter set is trained.
+    The backbone `arch` is widened by the fingerprint length. Every sample
+    becomes (x, s_i, y) with its owner's fingerprint; the pooled set is
+    shuffled per epoch and one shared parameter set is trained.
     """
-    if not arch.conditional:
-        raise ValueError("conditional strategy needs a conditional architecture")
     for s in shards:
         if s.stats is None:
             raise ValueError(f"client {s.client_id} is missing its fingerprint")
-        if s.stats.shape != (arch.stats_dim,):
-            raise ValueError(f"client {s.client_id}: fingerprint length "
-                             f"{s.stats.shape} != stats_dim {arch.stats_dim}")
+    lengths = sorted({len(s.stats) for s in shards})
+    if len(lengths) != 1:
+        raise ValueError(f"clients' fingerprint lengths differ: {lengths}")
+    arch = replace(arch, stats_dim=lengths[0])
     stats_rows = np.vstack([np.tile(s.stats, (len(s.train), 1)) for s in shards])
     (params,), records = _run_rounds([_pooled(shards)], arch, opt, cfg, seed,
                                       lambda block, lr: None, log_sink,
-                                      stats_rows=[stats_rows], rounds=cfg.epochs,
-                                      epochs_per_round=1)
-    return TrainedOutcome(
-        strategy="conditional", arch=arch,
-        client_params={s.client_id: params for s in shards},
-        client_stats={s.client_id: s.stats for s in shards},
-        log=records)
+                                      stats_rows=[stats_rows])
+    return TrainedOutcome("conditional", arch, {s.client_id: params for s in shards},
+                          log=records)
 
 
 def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
@@ -263,8 +259,7 @@ def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     """Each client trains independently on its own shard: `epochs` rounds of
     one pass, mixed with the identity."""
     params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
-                                  lambda block, lr: None, log_sink,
-                                  rounds=cfg.epochs, epochs_per_round=1)
+                                  lambda block, lr: None, log_sink)
     return TrainedOutcome("local", arch, _by_client(shards, params), log=records)
 
 
@@ -320,8 +315,7 @@ def train_oracle(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
     for k in cluster_ids:
         members = [s for s in shards if s.cluster_id == k]
         (params,), recs = _run_rounds([_pooled(members)], arch, opt, cfg, seed,
-                                      lambda block, lr: None, None,
-                                      rounds=cfg.epochs, epochs_per_round=1)
+                                      lambda block, lr: None, None)
         for r in recs:
             r["cluster_id"] = k
             _emit(log_sink, records, r)
@@ -336,8 +330,9 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
     """K model hypotheses; each refinement round every client joins the
     hypothesis with the lowest mean training loss (ties break to the lowest
     index) and each hypothesis is FedAvg-updated over its members. Empty
-    hypotheses keep their stale parameters."""
-    K = cfg.k_hypotheses if cfg.k_hypotheses is not None else 1
+    hypotheses keep their stale parameters. K is `k_hypotheses`, or else the
+    number of true clusters among the shards."""
+    K = cfg.k_hypotheses or len({s.cluster_id for s in shards})
     if initial_models is not None:
         if len(initial_models) != K:
             raise ValueError("initial_models length must equal k_hypotheses")
@@ -369,9 +364,7 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
     reassign()
     params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
                                   lambda models, lr: reassign(), log_sink,
-                                  models=models, assign=assign,
-                                  rounds=cfg.ifca_refinement_rounds,
-                                  round_loss=round_loss)
+                                  models=models, assign=assign, round_loss=round_loss)
     return TrainedOutcome("ifca", arch, _by_client(shards, params),
                           assignments=_by_client(shards, assign), log=records)
 
@@ -479,20 +472,21 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
 def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
                 cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
     """FedAvg global model plus per-client personal models pulled toward the
-    broadcast global parameters with proximal strength ditto_lambda. One
-    personal pass per round follows the client's global-branch update;
+    broadcast global parameters with proximal strength ditto_lambda. The
+    personal passes of each round follow the client's global-branch update;
     evaluation uses the personal models."""
     weights = [len(s.train) for s in shards]
     personal = [init_params(arch, np.random.default_rng(seed)) for _ in shards]
     personal_rngs = [np.random.default_rng(seed) for _ in shards]
     personal_states = [opt.clone_config() for _ in shards]
+    _, passes = cfg.schedule
 
     def mix(models, lr):
         # personal pull targets the freshly aggregated global parameters
         for i, shard in enumerate(shards):
             personal_states[i].learning_rate = lr
             train_sgd(personal[i], arch, shard.train.X, shard.train.y,
-                      personal_states[i], cfg.local_epochs_per_round,
+                      personal_states[i], passes,
                       personal_rngs[i], prox_target=models[0],
                       prox_lambda=cfg.ditto_lambda, out=personal[i])
 
@@ -526,14 +520,17 @@ def run_strategy(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
 
 def evaluate(outcome: TrainedOutcome, shards: list[ClientShard]) -> tuple[dict[int, float], float]:
     """Per-client test accuracy (argmax correctness on the client's own test
-    shard) and the unweighted mean across clients."""
+    shard, conditioned on its fingerprint iff the model is conditional) and
+    the unweighted mean across clients."""
     accs: dict[int, float] = {}
     for shard in shards:
         if len(shard.test) == 0:
             raise ValueError(f"client {shard.client_id}: empty test shard")
         if shard.client_id not in outcome.client_params:
             raise ValueError(f"outcome does not cover client {shard.client_id}")
-        logits = outcome.predict_logits(shard.client_id, shard.test.X)
+        stats = shard.stats if outcome.arch.conditional else None
+        logits = forward(outcome.client_params[shard.client_id], outcome.arch,
+                         shard.test.X, stats=stats)
         pred = np.atleast_2d(logits).argmax(axis=1)
         accs[shard.client_id] = float(np.mean(pred == shard.test.y))
     return accs, float(np.mean(list(accs.values())))

@@ -164,6 +164,34 @@ def _assemble(clusters: list[_Cluster], clients_per_cluster: int,
     return shards
 
 
+def _seeded_split(data: DatasetPair, K: int, seed: int,
+                  tag: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A seeded random split of the train and test pools into K near-equal
+    parts: (train indices, test indices) per part."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
+    train = np.array_split(rng.permutation(len(data.train)), K)
+    test = np.array_split(rng.permutation(len(data.test)), K)
+    return list(zip(train, test))
+
+
+def _contiguous_chunks(items: list, K: int) -> list[list]:
+    """`items` cut into K contiguous chunks whose sizes differ by at most
+    one, the longer chunks first."""
+    base, rem = divmod(len(items), K)
+    bounds = [k * base + min(k, rem) for k in range(K + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _check_disjoint(sets: list[list[int]], what: str) -> None:
+    """Raise ValueError naming the classes that two of `sets` share."""
+    seen: set[int] = set()
+    for s in sets:
+        overlap = seen.intersection(s)
+        if overlap:
+            raise ValueError(f"{what} on classes {sorted(overlap)}")
+        seen.update(s)
+
+
 def class_blocks(class_count: int, K: int) -> list[list[int]]:
     """Contiguous class blocks; remainder classes go one-per-leading-cluster.
 
@@ -171,13 +199,7 @@ def class_blocks(class_count: int, K: int) -> list[list[int]]:
     """
     if K > class_count:
         raise ValueError(f"K={K} exceeds class count {class_count}")
-    base, rem = divmod(class_count, K)
-    blocks, start = [], 0
-    for k in range(K):
-        size = base + (1 if k < rem else 0)
-        blocks.append(list(range(start, start + size)))
-        start += size
-    return blocks
+    return _contiguous_chunks(list(range(class_count)), K)
 
 
 def _restrict_to_classes(ds: Dataset, classes: list[int]) -> np.ndarray:
@@ -207,12 +229,7 @@ def partition_covariate_subclass(data: DatasetPair, superclass: LabelRule,
                                  clients_per_cluster: int, seed: int) -> list[ClientShard]:
     """E2a: every cluster predicts the shared superclass labels but only sees
     its own disjoint set of original subclasses."""
-    seen: set[int] = set()
-    for s in subclass_sets:
-        overlap = seen.intersection(s)
-        if overlap:
-            raise ValueError(f"subclass assignment overlaps on classes {sorted(overlap)}")
-        seen.update(s)
+    _check_disjoint(subclass_sets, "subclass assignment overlaps")
     clusters = [_class_cluster(data, classes, superclass) for classes in subclass_sets]
     return _assemble(clusters, clients_per_cluster, seed)
 
@@ -225,11 +242,8 @@ def partition_covariate_rotation(data: DatasetPair, K: int, clients_per_cluster:
     if len(data.train.input_shape) != 2:
         raise ValueError("rotation partitioning needs 2-D image data")
     # cluster membership: random equal split of the pool across clusters
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xE2B]))
-    splits_train = np.array_split(rng.permutation(len(data.train)), K)
-    splits_test = np.array_split(rng.permutation(len(data.test)), K)
-    clusters = [_Cluster(data, splits_train[k], splits_test[k], angle=ROTATION_ORDER[k])
-                for k in range(K)]
+    clusters = [_Cluster(data, train, test, angle=angle) for (train, test), angle
+                in zip(_seeded_split(data, K, seed, 0xE2B), ROTATION_ORDER)]
     return _assemble(clusters, clients_per_cluster, seed)
 
 
@@ -240,12 +254,8 @@ def partition_concept_semantic(data: DatasetPair, rules: list[LabelRule],
     arities = {r.arity for r in rules}
     if len(arities) != 1:
         raise ValueError(f"label rules disagree on output arity: {sorted(arities)}")
-    K = len(rules)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xE3A]))
-    splits_train = np.array_split(rng.permutation(len(data.train)), K)
-    splits_test = np.array_split(rng.permutation(len(data.test)), K)
-    clusters = [_Cluster(data, splits_train[k], splits_test[k], rule)
-                for k, rule in enumerate(rules)]
+    clusters = [_Cluster(data, train, test, rule) for (train, test), rule
+                in zip(_seeded_split(data, len(rules), seed, 0xE3A), rules)]
     return _assemble(clusters, clients_per_cluster, seed)
 
 
@@ -305,12 +315,7 @@ def partition_combined(data: DatasetPair, concept_rules: list[LabelRule],
     arities = {r.arity for r in concept_rules}
     if len(arities) != 1:
         raise ValueError("concept rules disagree on output arity")
-    seen: set[int] = set()
-    for s in covariate_sets:
-        overlap = seen.intersection(s)
-        if overlap:
-            raise ValueError(f"covariate sets overlap on classes {sorted(overlap)}")
-        seen.update(s)
+    _check_disjoint(covariate_sets, "covariate sets overlap")
     C = len(covariate_sets)
     clusters = [_class_cluster(data, classes, rule)
                 for rule in concept_rules for classes in covariate_sets]
@@ -331,11 +336,4 @@ def paired_covariate_sets(class_count: int, C: int) -> list[list[int]]:
     pairs = [(d, class_count - 1 - d) for d in range(class_count // 2)]
     if not 2 <= C <= len(pairs):
         raise ValueError(f"C must be in [2, {len(pairs)}]")
-    base, rem = divmod(len(pairs), C)
-    groups, start = [], 0
-    for k in range(C):
-        size = base + (1 if k < rem else 0)
-        chunk = pairs[start:start + size]
-        groups.append(sorted(v for p in chunk for v in p))
-        start += size
-    return groups
+    return [sorted(v for p in chunk for v in p) for chunk in _contiguous_chunks(pairs, C)]

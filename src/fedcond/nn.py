@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-ARCHITECTURE_KINDS = ("mlp", "mlp_conditional", "mnist_cnn", "mnist_cnn_conditional")
+ARCHITECTURE_KINDS = ("mlp", "mnist_cnn")
 
 
 class ShapeMismatchError(ValueError):
@@ -40,7 +40,7 @@ class NumericsError(FloatingPointError):
 class Architecture:
     """Network architecture descriptor.
 
-    ``stats_dim > 0`` marks a conditional variant: the per-client statistics
+    The model is conditional iff ``stats_dim > 0``: the per-client statistics
     vector is concatenated with the flattened features right before the first
     fully-connected layer, so that layer's input width is flatten_width +
     stats_dim.
@@ -55,13 +55,11 @@ class Architecture:
     def __post_init__(self):
         if self.kind not in ARCHITECTURE_KINDS:
             raise ValueError(f"unknown architecture kind {self.kind!r}")
-        if self.conditional and self.stats_dim <= 0:
-            raise ValueError(f"{self.kind} requires stats_dim > 0")
-        if not self.conditional and self.stats_dim != 0:
-            raise ValueError(f"{self.kind} must have stats_dim == 0")
+        if self.stats_dim < 0:
+            raise ValueError(f"stats_dim must be >= 0, got {self.stats_dim}")
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
-        if self.kind.startswith("mnist_cnn"):
+        if self.kind == "mnist_cnn":
             if tuple(self.input_shape) != (1, 28, 28):
                 raise ValueError("mnist_cnn expects input_shape (1, 28, 28)")
         elif len(self.input_shape) != 1:
@@ -69,7 +67,7 @@ class Architecture:
 
     @property
     def conditional(self) -> bool:
-        return self.kind.endswith("_conditional")
+        return self.stats_dim > 0
 
     @property
     def input_size(self) -> int:
@@ -77,21 +75,19 @@ class Architecture:
 
     @property
     def flatten_width(self) -> int:
-        if self.kind.startswith("mnist_cnn"):
+        if self.kind == "mnist_cnn":
             return 64 * 7 * 7  # two conv+pool stages on 28x28
         return self.input_size
 
 
 def mlp_architecture(input_size: int, class_count: int, hidden_dim: int = 128,
                      stats_dim: int = 0) -> Architecture:
-    kind = "mlp_conditional" if stats_dim > 0 else "mlp"
-    return Architecture(kind, (input_size,), class_count, hidden_dim, stats_dim)
+    return Architecture("mlp", (input_size,), class_count, hidden_dim, stats_dim)
 
 
 def cnn_architecture(class_count: int, hidden_dim: int = 128,
                      stats_dim: int = 0) -> Architecture:
-    kind = "mnist_cnn_conditional" if stats_dim > 0 else "mnist_cnn"
-    return Architecture(kind, (1, 28, 28), class_count, hidden_dim, stats_dim)
+    return Architecture("mnist_cnn", (1, 28, 28), class_count, hidden_dim, stats_dim)
 
 
 @dataclass
@@ -401,7 +397,7 @@ def _build_plan(arch: Architecture):
     with classification, which one hidden layer is too shallow to learn at
     desk scale."""
     layers = []
-    if arch.kind.startswith("mnist_cnn"):
+    if arch.kind == "mnist_cnn":
         layers += [Conv2d("conv1", 1, 32), MaxPool2d("pool1"), ReLU("relu1"),
                    Conv2d("conv2", 32, 64), MaxPool2d("pool2"), ReLU("relu2"),
                    Flatten("flatten")]
@@ -412,7 +408,7 @@ def _build_plan(arch: Architecture):
         layers.append(ConcatStats("concat_stats", arch.stats_dim))
         fc_in += arch.stats_dim
     layers += [Dense("fc1", fc_in, arch.hidden_dim), ReLU("relu_fc1")]
-    if not arch.kind.startswith("mnist_cnn"):
+    if arch.kind != "mnist_cnn":
         layers += [Dense("fc2", arch.hidden_dim, arch.hidden_dim), ReLU("relu_fc2")]
     layers += [Dense("out", arch.hidden_dim, arch.class_count)]
     return layers
@@ -457,7 +453,7 @@ def _prepare_input(arch: Architecture, x: np.ndarray) -> np.ndarray:
     if x.shape[1] != arch.input_size:
         raise ShapeMismatchError("input", f"expected {arch.input_size} features per sample, "
                                           f"got {x.shape[1]}")
-    if arch.kind.startswith("mnist_cnn"):
+    if arch.kind == "mnist_cnn":
         x = x.reshape(x.shape[0], *arch.input_shape)
     return x
 

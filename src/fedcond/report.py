@@ -57,6 +57,7 @@ class StrategyResult:
     mean_accuracy: float
     ari: float | None = None
     assignments: list[int] | None = None
+    schedule: list[int] | None = None         # [rounds, passes per round]
     train_log: list[dict] = field(default_factory=list)
 
 

@@ -26,6 +26,11 @@ from fedcond.experiment import (StageError, build_partition, fingerprint_only,
 from fedcond.federation import STRATEGY_KINDS, StrategyConfig, child_seed
 from fedcond.report import THREAD_ENV_VARS, RunReport, thread_env
 
+# the CLI subprocesses import fedcond from this checkout, never from site-packages
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
 TINY = {
     "name": "tiny",
     "seed": 3,
@@ -159,6 +164,22 @@ def test_report_records_stage_timings(tiny_run):
     assert all(isinstance(v, float) and v >= 0.0 for v in doc["timings"].values())
     assert report.timings == doc["timings"]
 
+
+
+def test_report_records_each_strategys_schedule(tmp_path):
+    """`[rounds, passes]` per strategy as its own settings give it: IFCA
+    spends `epochs: 10` as 5 rounds of 2 passes, an `epochs` override sets
+    Conditional's rounds, and the schedule stays out of the CSVs."""
+    doc = dict(json.loads(json.dumps(SYNTH_TINY)),
+               strategies=["ifca", {"kind": "conditional", "epochs": 60}, "fedavg"])
+    doc["training"]["epochs"] = 10
+    run_experiment(ExperimentConfig.from_dict(doc), out_dir=tmp_path)
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert [(r["strategy"], r["schedule"]) for r in results] == [
+        ("ifca", [5, 2]), ("conditional", [60, 1]), ("fedavg", [10, 1])]
+    header = (tmp_path / "summary.csv").read_text().splitlines()[0]
+    assert header == "strategy,mean_accuracy,ari"
+    assert RunReport.from_file(tmp_path / "report.json").results[0].schedule == [5, 2]
 
 def test_source_pair_is_released_before_training(monkeypatch, tmp_path):
     import weakref
@@ -303,7 +324,7 @@ def test_cnn_run_matches_pinned_digests(tmp_path):
     cfg_path.write_text(json.dumps(CNN_RUN))
     r = subprocess.run([sys.executable, "-m", "fedcond.cli", "run", str(cfg_path),
                         "--out", str(tmp_path / "out")], capture_output=True,
-                       text=True, env=dict(os.environ, **ONE_BLAS_THREAD))
+                       text=True, env=dict(CLI_ENV, **ONE_BLAS_THREAD))
     assert r.returncode == 0, r.stderr
     for name, digest in CNN_RUN_SHA256.items():
         got = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
@@ -396,7 +417,7 @@ def test_reaggregate_rebuilds_summary(tmp_path):
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "fedcond.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
 
 
 def test_cli_run_and_determinism(tmp_path):
@@ -469,13 +490,18 @@ def test_cli_rejects_bad_config(tmp_path):
      "heterogeneity: unknown label rule 'bogus'"),
     ({"heterogeneity": {"family": "E4b", "covariate_clusters": 1}},
      "family E4b needs covariate_clusters >= 2, got 1"),
+    ({"heterogeneity": {"family": "E2a", "subclass_sets": [[0, 1], [12]]}},
+     "unknown HeterogeneitySpec keys: ['subclass_sets']"),
+    ({"heterogeneity": {"family": "E4b", "covariate_sets": [[0, 9], [0, 8]]}},
+     "unknown HeterogeneitySpec keys: ['covariate_sets']"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
         "ifca-rounds-ignored", "fedavg-k-ignored", "stats-method", "stats-extractor",
         "epochs-str", "l-str", "K-str", "cap-str", "strategy-int", "seed-str",
         "seed-bool", "batch-size-float", "momentum-str", "lr-negative",
         "momentum-1", "ditto-lambda-str", "K-0", "rule-unknown",
-        "superclass-unknown", "covariate-clusters-1"])
+        "superclass-unknown", "covariate-clusters-1", "subclass-sets",
+        "covariate-sets"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)

@@ -163,6 +163,26 @@ def test_round_engine_logs_one_record_per_round(kind):
         assert r["strategy"] == kind and np.isfinite(r["mean_train_loss"])
 
 
+def test_every_strategy_kind_has_a_training_function():
+    assert list(fed.STRATEGY_FNS) == list(fed.STRATEGY_KEYS) == list(fed.STRATEGY_KINDS)
+
+
+@pytest.mark.parametrize("kind", fed.STRATEGY_KINDS)
+def test_schedule_reads_only_the_fields_its_kind_reads(kind):
+    """Every schedule field gets a distinct value, so the values that come
+    back name the fields the schedule read: each must be one `STRATEGY_KEYS`
+    lists for the kind (or a constant single pass)."""
+    values = {"epochs": 11, "rounds": 13, "local_epochs_per_round": 17,
+              "ifca_refinement_rounds": 19}
+    rounds, passes = fed.StrategyConfig(kind, **values).schedule
+    field_of = {v: name for name, v in values.items()}
+    keys = fed.STRATEGY_KEYS[kind]
+    assert field_of[rounds] in keys
+    assert passes == 1 or field_of[passes] in keys
+    if passes == 1:
+        assert "local_epochs_per_round" not in keys
+
+
 # ----------------------------------------------------------------- aggregation
 
 def test_dac_weight_rows_are_a_distribution():
@@ -344,6 +364,24 @@ def test_ifca_hypothesis_without_members_keeps_its_vector(monkeypatch):
     assert used.vector.tobytes() != seen["before"][0]
 
 
+@pytest.mark.parametrize("clusters", [1, 2, 3])
+def test_ifca_defaults_to_one_hypothesis_per_true_cluster(monkeypatch, clusters):
+    shards = [ClientShard(s.client_id, s.client_id % clusters, s.train, s.test)
+              for s in gaussian_shards(n_clients=6, seed=5)]
+    seen = {}
+
+    def spy(*args, models, **kwargs):
+        seen["K"] = len(models)
+        return run_rounds(*args, models=models, **kwargs)
+
+    run_rounds = fed._run_rounds
+    monkeypatch.setattr(fed, "_run_rounds", spy)
+    out = fed.train_ifca(shards, arch_for(shards), opt(),
+                         fed.StrategyConfig("ifca", ifca_refinement_rounds=1), SEED)
+    assert seen["K"] == clusters
+    assert set(out.assignments.values()) <= set(range(clusters))
+
+
 def test_ifca_assignment_is_argmin_stable():
     shards = gaussian_shards(n_clients=6, seed=4)
     arch = arch_for(shards)
@@ -396,6 +434,18 @@ def test_conditional_requires_fingerprints():
     arch = arch_for(shards, stats_dim=4)
     with pytest.raises(ValueError, match="fingerprint"):
         fed.train_conditional(shards, arch, opt(),
+                              fed.StrategyConfig("conditional", epochs=1), SEED)
+
+
+def test_conditional_widens_the_backbone_by_the_fingerprint_length():
+    shards = gaussian_shards()
+    fingerprint_all(shards, 2, l=3)
+    out = fed.train_conditional(shards, arch_for(shards), opt(),
+                                fed.StrategyConfig("conditional", epochs=1), SEED)
+    assert out.arch == arch_for(shards, stats_dim=3) and out.arch.conditional
+    shards[1].stats = shards[1].stats[:2]
+    with pytest.raises(ValueError, match=r"fingerprint lengths differ: \[2, 3\]"):
+        fed.train_conditional(shards, arch_for(shards), opt(),
                               fed.StrategyConfig("conditional", epochs=1), SEED)
 
 

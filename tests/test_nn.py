@@ -110,6 +110,17 @@ def test_forward_shape_mismatch_names_input():
         nn.forward(params, arch, np.zeros((2, 7)))
 
 
+def test_architecture_is_conditional_iff_stats_dim_is_positive():
+    assert nn.ARCHITECTURE_KINDS == ("mlp", "mnist_cnn")
+    assert nn.mlp_architecture(5, 3, stats_dim=2).conditional
+    assert not nn.mlp_architecture(5, 3).conditional
+    assert nn.cnn_architecture(3, stats_dim=1).kind == "mnist_cnn"
+    with pytest.raises(ValueError, match="unknown architecture kind"):
+        nn.Architecture("mlp_conditional", (5,), 3, stats_dim=2)
+    with pytest.raises(ValueError, match="stats_dim must be >= 0"):
+        nn.mlp_architecture(5, 3, stats_dim=-1)
+
+
 def test_stats_required_iff_conditional():
     cond = nn.mlp_architecture(5, 3, stats_dim=2)
     plain = nn.mlp_architecture(5, 3)
