@@ -22,14 +22,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output directory")
 
 
-def _add_format(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-
-
-def _formats(arg: str) -> tuple[str, ...]:
-    return ("json", "csv") if arg == "both" else (arg,)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fedcond",
                                      description="heterogeneous-federation experiment harness")
@@ -38,12 +30,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config")
     _add_common(p_run)
-    _add_format(p_run)
 
     p_suite = sub.add_parser("suite", help="run a grid of experiments")
     p_suite.add_argument("config")
     _add_common(p_suite)
-    _add_format(p_suite)
     p_suite.add_argument("--threads", type=int, default=1,
                          help="suite-level parallelism; 1 = fully serial (deterministic mode)")
 
@@ -61,7 +51,7 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig.from_file(args.config)
             if args.seed is not None:
                 cfg.seed = args.seed
-            report = run_experiment(cfg, out_dir=args.out, formats=_formats(args.format))
+            report = run_experiment(cfg, out_dir=args.out)
             for res in report.results:
                 ari = "" if res.ari is None else f"  ari={res.ari:.3f}"
                 print(f"{res.strategy:12s} mean_accuracy={res.mean_accuracy:.4f}{ari}")
@@ -69,9 +59,12 @@ def main(argv=None) -> int:
         if args.command == "suite":
             suite = SuiteConfig.from_file(args.config)
             if args.seed is not None:
+                if "seed" in suite.grid:
+                    raise ConfigError("--seed sets the suite seed, which a grid "
+                                      "that lists seeds does not use")
                 suite.seed = args.seed
             summary = run_suite(suite, out_root=args.out or f"runs/{suite.name}",
-                                formats=_formats(args.format), threads=args.threads)
+                                threads=args.threads)
             for s in summary["runs"]:
                 print(f"{s['run_id']:40s} {s['status']}")
             print(f"{len(summary['runs'])} runs, {summary['failed']} failed")

@@ -15,6 +15,8 @@ from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
+from .nn import ARCHITECTURE_KINDS
+
 DATA_ROOT_ENV = "FEDCOND_DATA_ROOT"
 
 DATASET_KINDS = ("idx", "glyphs", "synthetic")
@@ -143,7 +145,8 @@ class TrainingSpec:
     lr_schedule: str = "constant"  # constant | cosine; applies to all strategies
 
     def validate(self):
-        if self.architecture not in ("mlp", "mnist_cnn"):
+        from .federation import LR_SCHEDULES
+        if self.architecture not in ARCHITECTURE_KINDS:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 1:
             raise ConfigError("epochs, batch_size and hidden_dim must be >= 1")
@@ -151,7 +154,7 @@ class TrainingSpec:
             raise ConfigError("training.learning_rate must be > 0")
         if not 0 <= self.momentum < 1:
             raise ConfigError("training.momentum must be in [0, 1)")
-        if self.lr_schedule not in ("constant", "cosine"):
+        if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
@@ -275,8 +278,9 @@ class ExperimentConfig:
 class SuiteConfig:
     """A Cartesian grid over a base experiment config.
 
-    Grid keys are dotted config paths (e.g. "heterogeneity.K"); each run gets
-    a distinct child seed derived from (seed, run_index).
+    Grid keys are dotted config paths (e.g. "heterogeneity.K"). A run takes
+    the `seed` the grid sets, else a distinct child seed derived from
+    (seed, run_index).
     """
 
     name: str

@@ -2,9 +2,9 @@
 -> evaluation -> report files.
 
 Stages are wrapped so any failure surfaces as a StageError naming the stage,
-and partially written outputs are removed. Suites expand a config grid,
-derive a distinct child seed per run, and record per-run failures without
-aborting the remaining runs.
+and partially written outputs are removed. Suites expand a config grid, run
+each point at the seed the grid sets or else at a distinct child seed, and
+record per-run failures without aborting the remaining runs.
 """
 
 from __future__ import annotations
@@ -162,8 +162,9 @@ def _fingerprinted_shards(config: ExperimentConfig, timings: dict | None = None
 # single run
 # --------------------------------------------------------------------------
 
-def run_experiment(config: ExperimentConfig, out_dir=None,
-                   formats=("json", "csv")) -> RunReport:
+def run_experiment(config: ExperimentConfig, out_dir=None) -> RunReport:
+    """Run one experiment and write train_log.jsonl, report.json, detail.csv
+    and summary.csv to `out_dir` (default: the config's, else runs/<name>)."""
     t0 = time.time()
     config.validate()
     out = Path(out_dir or config.out_dir or Path("runs") / config.name)
@@ -213,7 +214,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             timings=timings,
         )
         with _stage("report"):
-            created.extend(emit_report(report, out, formats=formats))
+            created.extend(emit_report(report, out))
         return report
     except BaseException:
         for p in created:
@@ -269,27 +270,25 @@ def fingerprint_only(config: ExperimentConfig, out_dir=None) -> Path:
 # suites
 # --------------------------------------------------------------------------
 
-def run_suite(suite: SuiteConfig, out_root, formats=("json", "csv"),
-              threads: int = 1) -> dict:
-    """Run every grid point with its own child seed and output directory.
+def run_suite(suite: SuiteConfig, out_root, threads: int = 1) -> dict:
+    """Run every grid point in its own output directory, at the `seed` its
+    grid sets, else at the child seed of its index.
 
     Individual failures are recorded and do not abort the suite; the returned
     summary lists per-run status.
     """
     out_root = Path(out_root)
-    docs = suite.expand()
-    runs = []
-    for i, doc in enumerate(docs):
-        doc = dict(doc)
-        doc["seed"] = child_seed(suite.seed, i)
-        runs.append((i, doc))
+    runs = list(enumerate(suite.expand()))
+    if "seed" not in suite.grid:
+        for i, doc in runs:
+            doc["seed"] = child_seed(suite.seed, i)
 
     def one(item):
         i, doc = item
         run_dir = out_root / "runs" / doc["name"]
         try:
             cfg = ExperimentConfig.from_dict(doc)
-            report = run_experiment(cfg, out_dir=run_dir, formats=formats)
+            report = run_experiment(cfg, out_dir=run_dir)
             return {"index": i, "run_id": doc["name"], "seed": doc["seed"],
                     "status": "ok", "dir": str(run_dir),
                     "report": str(run_dir / "report.json"),
@@ -304,7 +303,6 @@ def run_suite(suite: SuiteConfig, out_root, formats=("json", "csv"),
             statuses = list(pool.map(one, runs))
     else:
         statuses = [one(item) for item in runs]
-    statuses.sort(key=lambda s: s["index"])
 
     out_root.mkdir(parents=True, exist_ok=True)
     summary = {"suite": suite.name, "seed": suite.seed, "runs": statuses,

@@ -78,7 +78,7 @@ class StrategyConfig:
             raise ValueError("dac_temperature must be > 0")
         if self.k_hypotheses is not None and self.k_hypotheses < 1:
             raise ValueError("k_hypotheses must be >= 1")
-        if self.lr_schedule not in ("constant", "cosine"):
+        if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
     @property
@@ -95,6 +95,7 @@ class StrategyConfig:
 
 
 LR_FLOOR = 0.05
+LR_SCHEDULES = ("constant", "cosine")
 
 
 def lr_at(base_lr: float, step: int, total: int, schedule: str) -> float:

@@ -94,70 +94,66 @@ class RunReport:
             return cls.from_dict(json.load(f))
 
 
-DETAIL_COLUMNS = ("run_id", "family", "dataset", "K", "sparsity", "strategy",
-                  "client_id", "cluster_id", "test_accuracy")
+RUN_COLUMNS = ("run_id", "family", "dataset", "K", "sparsity")
+DETAIL_COLUMNS = RUN_COLUMNS + ("strategy", "client_id", "cluster_id", "test_accuracy")
 SUMMARY_COLUMNS = ("strategy", "mean_accuracy", "ari")
 
 
-def emit_report(report: RunReport, out_dir, formats=("json", "csv")) -> list[Path]:
-    """Write report files; returns the created paths.
+def _run_cells(report: RunReport) -> list:
+    """The `RUN_COLUMNS` cells that begin each of a run's detail and suite rows."""
+    return [report.run_id, report.family, report.dataset, report.cluster_count,
+            report.sparsity or ""]
 
-    json -> report.json (full report)
-    csv  -> detail.csv (one row per strategy x client) and summary.csv
-    """
+
+def summary_rows(report: RunReport) -> list[list]:
+    """The `SUMMARY_COLUMNS` rows of a run, one per strategy."""
+    return [[res.strategy, repr(res.mean_accuracy),
+             "" if res.ari is None else repr(res.ari)] for res in report.results]
+
+
+def _write_csv(path: Path, header: tuple, rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def emit_report(report: RunReport, out_dir) -> list[Path]:
+    """Write the run's files and return their paths: report.json (the full
+    report), detail.csv (one row per strategy x client) and summary.csv (one
+    row per strategy). On a failure none of the three is left behind."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
+    paths = [out / "report.json", out / "detail.csv", out / "summary.csv"]
+    run = _run_cells(report)
     try:
-        if "json" in formats:
-            path = out / "report.json"
-            with open(path, "w") as f:
-                json.dump(report.to_dict(), f, indent=2)
-                f.write("\n")
-            created.append(path)
-        if "csv" in formats:
-            detail = out / "detail.csv"
-            with open(detail, "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(DETAIL_COLUMNS)
-                for res in report.results:
+        with open(paths[0], "w") as f:
+            json.dump(report.to_dict(), f, indent=2)
+            f.write("\n")
+        _write_csv(paths[1], DETAIL_COLUMNS,
+                   (run + [res.strategy, cid, cluster, repr(acc)]
+                    for res in report.results
                     for cid, cluster, acc in zip(report.client_ids,
                                                  report.true_clusters,
-                                                 res.per_client_accuracy):
-                        w.writerow([report.run_id, report.family, report.dataset,
-                                    report.cluster_count, report.sparsity or "",
-                                    res.strategy, cid, cluster, repr(acc)])
-            created.append(detail)
-            summary = out / "summary.csv"
-            with open(summary, "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(SUMMARY_COLUMNS)
-                for res in report.results:
-                    w.writerow([res.strategy, repr(res.mean_accuracy),
-                                "" if res.ari is None else repr(res.ari)])
-            created.append(summary)
+                                                 res.per_client_accuracy)))
+        _write_csv(paths[2], SUMMARY_COLUMNS, summary_rows(report))
     except Exception:
-        for p in created:
+        for p in paths:
             p.unlink(missing_ok=True)
         raise
-    return created
+    return paths
 
 
 def aggregate_reports(report_paths: list[Path], out_path: Path) -> Path:
-    """Re-aggregate per-run reports into one long-form suite summary CSV."""
+    """Re-aggregate per-run reports into one long-form suite summary CSV: each
+    run's summary rows behind its `RUN_COLUMNS` cells. Every report is read
+    before the output is opened."""
     rows = []
     for path in sorted(report_paths):
         rep = RunReport.from_file(path)
-        for res in rep.results:
-            rows.append([rep.run_id, rep.family, rep.dataset, rep.cluster_count,
-                         rep.sparsity or "", res.strategy,
-                         repr(res.mean_accuracy),
-                         "" if res.ari is None else repr(res.ari)])
+        run = _run_cells(rep)
+        rows.extend(run + row for row in summary_rows(rep))
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["run_id", "family", "dataset", "K", "sparsity", "strategy",
-                    "mean_accuracy", "ari"])
-        w.writerows(rows)
+    _write_csv(out_path, RUN_COLUMNS + SUMMARY_COLUMNS, rows)
     return out_path

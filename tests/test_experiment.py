@@ -385,6 +385,58 @@ def test_suite_of_one_matches_run_experiment(tmp_path):
         r.strategy: r.mean_accuracy for r in direct.results}
 
 
+def test_suite_runs_the_seed_its_grid_sets(tmp_path):
+    doc = suite_doc({"seed": [7]})
+    suite = SuiteConfig(name=doc["name"], seed=doc["seed"], base=doc["base"],
+                        grid=doc["grid"])
+    summary = run_suite(suite, out_root=tmp_path)
+    assert summary["failed"] == 0
+    (run_status,) = summary["runs"]
+    assert (run_status["run_id"], run_status["seed"]) == ("s_seed=7", 7)
+    cfg = ExperimentConfig.from_dict(
+        dict(doc["base"], name=run_status["run_id"], seed=7))
+    direct = run_experiment(cfg, out_dir=tmp_path / "direct")
+    assert run_status["mean_accuracy"] == {
+        r.strategy: r.mean_accuracy for r in direct.results}
+    for name in ("summary.csv", "detail.csv", "train_log.jsonl"):
+        assert (Path(run_status["dir"]) / name).read_bytes() == \
+               (tmp_path / "direct" / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def serial_suite(tmp_path_factory):
+    """A three-point suite run serially; its K=11 point fails."""
+    doc = suite_doc({"heterogeneity.K": [2, 3, 11]})
+    suite = SuiteConfig(name=doc["name"], seed=doc["seed"], base=doc["base"],
+                        grid=doc["grid"])
+    out = tmp_path_factory.mktemp("serial_suite")
+    return suite, run_suite(suite, out_root=out), out
+
+
+def test_suite_on_two_threads_matches_serial(serial_suite, tmp_path):
+    suite, serial, serial_out = serial_suite
+    threaded = run_suite(suite, out_root=tmp_path, threads=2)
+    assert [s["run_id"] for s in threaded["runs"]] == \
+           [d["name"] for d in suite.expand()] == \
+           [s["run_id"] for s in serial["runs"]]
+    assert [s["status"] for s in threaded["runs"]] == ["ok", "ok", "error"]
+    assert (tmp_path / "suite_summary.csv").read_bytes() == \
+           (serial_out / "suite_summary.csv").read_bytes()
+    for status in serial["runs"][:2]:
+        run_dir = Path("runs") / status["run_id"]
+        for name in ("summary.csv", "detail.csv", "train_log.jsonl"):
+            assert (tmp_path / run_dir / name).read_bytes() == \
+                   (serial_out / run_dir / name).read_bytes()
+
+
+def test_cli_report_rebuilds_suite_summary_byte_for_byte(serial_suite, tmp_path):
+    _, _, serial_out = serial_suite
+    rebuilt = tmp_path / "rebuilt.csv"
+    r = run_cli("report", str(serial_out), "--out", str(rebuilt))
+    assert r.returncode == 0, r.stderr
+    assert rebuilt.read_bytes() == (serial_out / "suite_summary.csv").read_bytes()
+
+
 def test_suite_failure_isolation(tmp_path):
     suite_cfg = suite_doc({"heterogeneity.K": [2, 11]})  # K=11 must fail
     suite = SuiteConfig(name="s", seed=5, base=suite_cfg["base"],
@@ -397,12 +449,15 @@ def test_suite_failure_isolation(tmp_path):
 
 
 def test_suite_grid_expansion_is_cartesian_and_deterministic():
-    doc = suite_doc({"heterogeneity.K": [2, 5], "seed_unused.x": [1]})
-    suite = SuiteConfig(name="s", seed=0, base=doc["base"],
+    suite = SuiteConfig(name="s", seed=0, base=json.loads(json.dumps(TINY)),
                         grid={"heterogeneity.K": [2, 5],
                               "training.epochs": [1, 2]})
-    names = [d["name"] for d in suite.expand()]
+    docs = suite.expand()
+    pairs = [(d["heterogeneity"]["K"], d["training"]["epochs"]) for d in docs]
+    assert sorted(pairs) == [(2, 1), (2, 2), (5, 1), (5, 2)]
+    names = [d["name"] for d in docs]
     assert len(names) == 4 and len(set(names)) == 4
+    assert suite.expand() == docs
 
 
 def test_reaggregate_rebuilds_summary(tmp_path):
@@ -589,6 +644,15 @@ def test_cli_suite_rejects_malformed_document(tmp_path, override, message):
     assert [p.name for p in tmp_path.iterdir()] == ["suite.json"]
 
 
+def test_cli_suite_rejects_seed_override_of_a_grid_that_lists_seeds(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite_doc({"seed": [7]})))
+    r = run_cli("suite", str(path), "--seed", "3", "--out", str(tmp_path / "suite_out"))
+    assert r.returncode == 2, r.stderr
+    assert "a grid that lists seeds does not use" in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["suite.json"]
+
+
 def test_cli_fingerprint_subcommand(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY))
@@ -605,10 +669,12 @@ def test_cli_report_subcommand(tmp_path):
 
 
 @pytest.mark.parametrize("command, flag", [("run", "--threads"), ("fingerprint", "--threads"),
-                                           ("fingerprint", "--format")])
+                                           ("fingerprint", "--format"), ("run", "--format"),
+                                           ("suite", "--format")])
 def test_cli_rejects_options_the_command_ignores(tmp_path, command, flag):
-    """`--threads` parallelizes the runs of a suite only, and `fingerprint`
-    writes no report to format: elsewhere the flag is a usage error."""
+    """`--threads` parallelizes the runs of a suite only, and every run writes
+    the same four files, so no command takes `--format`: the flag is a usage
+    error."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY))
     r = run_cli(command, str(cfg_path), flag, "csv" if flag == "--format" else "2")
@@ -616,12 +682,3 @@ def test_cli_rejects_options_the_command_ignores(tmp_path, command, flag):
     assert "unrecognized arguments" in r.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-
-def test_cli_format_csv_only(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(TINY))
-    r = run_cli("run", str(cfg_path), "--out", str(tmp_path / "o"),
-                "--format", "csv")
-    assert r.returncode == 0
-    assert not (tmp_path / "o" / "report.json").exists()
-    assert (tmp_path / "o" / "summary.csv").exists()
