@@ -82,6 +82,9 @@ class DatasetSpec:
                     raise ConfigError(f"missing dataset file: {root / fname}")
         if self.per_class_cap is not None and self.per_class_cap <= 0:
             raise ConfigError("per_class_cap must be positive or null")
+        for name in ("train_per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -110,8 +113,10 @@ class HeterogeneitySpec:
                               f"known: {sorted(SPARSITY_LEVELS)}")
         if self.sparsity is None and self.clients_per_cluster < 1:
             raise ConfigError("clients_per_cluster must be >= 1")
-        if self.family == "E4a" and self.dataset_b is None:
-            raise ConfigError("family E4a needs heterogeneity.dataset_b")
+        if self.family == "E4a":
+            if self.dataset_b is None:
+                raise ConfigError("family E4a needs heterogeneity.dataset_b")
+            self.dataset_b.validate()
         if self.family == "E4b" and len(self.rules) != 2:
             raise ConfigError("family E4b needs exactly 2 concept rules")
         if self.family == "E4b" and self.covariate_clusters < 2:
@@ -300,6 +305,11 @@ class SuiteConfig:
         if empty:
             raise ConfigError(f"suite grid lists no values for {', '.join(empty)}; "
                               f"the suite would run nothing")
+        names = [name for name, _ in self._points()]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"suite grid repeats run {repeated[0]!r}; every grid "
+                              f"point needs its own run name and directory")
 
     @classmethod
     def from_file(cls, path) -> "SuiteConfig":
@@ -313,14 +323,21 @@ class SuiteConfig:
         return cls(name=doc.get("name", "suite"), seed=doc.get("seed", 0),
                    base=doc["base"], grid=doc["grid"])
 
-    def expand(self) -> list[dict]:
-        """All grid points as full config dicts, in deterministic order."""
+    def _points(self) -> list[tuple[str, dict]]:
+        """Each grid point's run name and {dotted path: value}, in
+        deterministic order."""
         keys = sorted(self.grid)
         combos: list[dict] = [{}]
         for k in keys:
             combos = [dict(c, **{k: v}) for c in combos for v in self.grid[k]]
+        labels = ["_".join(f"{k.split('.')[-1]}={c[k]}" for k in keys) for c in combos]
+        return [(f"{self.name}_{label}" if label else self.name, combo)
+                for label, combo in zip(labels, combos)]
+
+    def expand(self) -> list[dict]:
+        """All grid points as full config dicts, in deterministic order."""
         docs = []
-        for combo in combos:
+        for name, combo in self._points():
             doc = json.loads(json.dumps(self.base))  # deep copy
             for dotted, value in combo.items():
                 node = doc
@@ -328,7 +345,6 @@ class SuiteConfig:
                 for p in parts[:-1]:
                     node = node.setdefault(p, {})
                 node[parts[-1]] = value
-            label = "_".join(f"{k.split('.')[-1]}={combo[k]}" for k in keys)
-            doc["name"] = f"{self.name}_{label}" if label else self.name
+            doc["name"] = name
             docs.append(doc)
         return docs

@@ -35,14 +35,6 @@ class IdxCountMismatchError(IdxError):
     """Image count and label count disagree."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One input vector (values in [0, 1]) and its integer class label."""
-
-    x: np.ndarray
-    y: int
-
-
 @dataclass
 class Dataset:
     """A labelled dataset stored columnar: X is (n, d) with rows in [0, 1]."""
@@ -65,9 +57,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.X.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.X[i], int(self.y[i]))
 
     def take(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
         return Dataset(name or self.name, self.X[idx], self.y[idx],

@@ -1,10 +1,11 @@
 """Experiment orchestration: config -> partition -> fingerprints -> strategies
 -> evaluation -> report files.
 
-Stages are wrapped so any failure surfaces as a StageError naming the stage,
-and partially written outputs are removed. Suites expand a config grid, run
-each point at the seed the grid sets or else at a distinct child seed, and
-record per-run failures without aborting the remaining runs.
+Stages are wrapped so any failure surfaces as a StageError naming the stage.
+A run writes its files only once it has finished, and a failure while writing
+them leaves none behind. Suites expand a config grid, run each point at the
+seed the grid sets or else at a distinct child seed, and record per-run
+failures without aborting the remaining runs.
 """
 
 from __future__ import annotations
@@ -163,63 +164,46 @@ def _fingerprinted_shards(config: ExperimentConfig, timings: dict | None = None
 # --------------------------------------------------------------------------
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunReport:
-    """Run one experiment and write train_log.jsonl, report.json, detail.csv
-    and summary.csv to `out_dir` (default: the config's, else runs/<name>)."""
+    """Run one experiment and write its four files (`emit_report`) to
+    `out_dir` (default: the config's, else runs/<name>)."""
     t0 = time.time()
     config.validate()
     out = Path(out_dir or config.out_dir or Path("runs") / config.name)
-    created: list[Path] = []
     timings: dict[str, float] = {}
-    try:
-        shards, fingerprints = _fingerprinted_shards(config, timings)
-        with _stage("partition", timings):  # report.json keeps its stage names
-            arch = build_architectures(config, shards)
-        out.mkdir(parents=True, exist_ok=True)
-        log_path = out / "train_log.jsonl"
-        opt = OptimizerState(config.training.learning_rate, config.training.momentum,
-                             config.training.batch_size)
-        true_ids = [s.cluster_id for s in shards]
-        results: list[StrategyResult] = []
-        with open(log_path, "w") as log_f:
-            created.append(log_path)
-
-            def sink(record: dict):
-                log_f.write(json.dumps(record) + "\n")
-
-            for entry in config.strategies:
-                cfg = strategy_config(entry, config.training)
-                with _stage(f"train:{cfg.kind}", timings):
-                    outcome = run_strategy(shards, arch, opt, cfg, config.seed,
-                                           log_sink=sink)
-                with _stage(f"evaluate:{cfg.kind}", timings):
-                    accs, mean_acc = evaluate(outcome, shards)
-                results.append(_strategy_result(outcome, cfg, shards, accs,
-                                                mean_acc, true_ids))
-
-        report = RunReport(
-            run_id=config.name,
-            config=config.to_dict(),
-            provenance=dict(PROVENANCE, lr_schedule=config.training.lr_schedule,
-                            thread_env=thread_env()),
-            dataset=config.dataset.name,
-            family=config.heterogeneity.family,
-            cluster_count=len(set(true_ids)),
-            sparsity=config.heterogeneity.sparsity,
-            client_ids=[s.client_id for s in shards],
-            true_clusters=[int(c) for c in true_ids],
-            fingerprints=[[float(v) for v in row] for row in fingerprints],
-            results=results,
-            wall_clock_sec=time.time() - t0,
-            build=build_identifier(),
-            timings=timings,
-        )
-        with _stage("report"):
-            created.extend(emit_report(report, out))
-        return report
-    except BaseException:
-        for p in created:
-            Path(p).unlink(missing_ok=True)
-        raise
+    shards, fingerprints = _fingerprinted_shards(config, timings)
+    with _stage("partition", timings):  # report.json keeps its stage names
+        arch = build_architectures(config, shards)
+    opt = OptimizerState(config.training.learning_rate, config.training.momentum,
+                         config.training.batch_size)
+    true_ids = [s.cluster_id for s in shards]
+    results: list[StrategyResult] = []
+    for entry in config.strategies:
+        cfg = strategy_config(entry, config.training)
+        with _stage(f"train:{cfg.kind}", timings):
+            outcome = run_strategy(shards, arch, opt, cfg, config.seed)
+        with _stage(f"evaluate:{cfg.kind}", timings):
+            accs, mean_acc = evaluate(outcome, shards)
+        results.append(_strategy_result(outcome, cfg, shards, accs, mean_acc, true_ids))
+    report = RunReport(
+        run_id=config.name,
+        config=config.to_dict(),
+        provenance=dict(PROVENANCE, lr_schedule=config.training.lr_schedule,
+                        thread_env=thread_env()),
+        dataset=config.dataset.name,
+        family=config.heterogeneity.family,
+        cluster_count=len(set(true_ids)),
+        sparsity=config.heterogeneity.sparsity,
+        client_ids=[s.client_id for s in shards],
+        true_clusters=[int(c) for c in true_ids],
+        fingerprints=[[float(v) for v in row] for row in fingerprints],
+        results=results,
+        wall_clock_sec=time.time() - t0,
+        build=build_identifier(),
+        timings=timings,
+    )
+    with _stage("report"):
+        emit_report(report, out)
+    return report
 
 
 def _strategy_result(outcome: TrainedOutcome, cfg: StrategyConfig, shards, accs,

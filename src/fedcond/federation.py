@@ -119,15 +119,8 @@ class TrainedOutcome:
     log: list[dict] = field(default_factory=list)
 
 
-def _emit(sink, records: list[dict], record: dict):
-    records.append(record)
-    if sink is not None:
-        sink(record)
-
-
 def mean_shard_loss(params: ModelParams, arch: Architecture, shard: ClientShard) -> float:
-    logits = forward(params, arch, shard.train.X)
-    return mean_cross_entropy(np.atleast_2d(logits), shard.train.y)
+    return mean_cross_entropy(forward(params, arch, shard.train.X), shard.train.y)
 
 
 def _pooled(shards: list[ClientShard]) -> Dataset:
@@ -143,7 +136,7 @@ def _by_client(shards: list[ClientShard], values: list) -> dict:
 
 
 def _run_rounds(sets: list[Dataset], arch: Architecture, opt: OptimizerState,
-                cfg: StrategyConfig, seed: int, mix, log_sink, *,
+                cfg: StrategyConfig, seed: int, mix, *,
                 stats_rows: list[np.ndarray | None] | None = None,
                 models: list[ModelParams] | None = None, assign: list[int] | None = None,
                 round_loss=lambda losses: float(np.mean(losses))
@@ -222,8 +215,7 @@ def _run_rounds(sets: list[Dataset], arch: Architecture, opt: OptimizerState,
         mix(mixed, lr)
         if assign is not None:
             starts = [models[a] for a in assign]
-        _emit(log_sink, records, {"round": rnd, "strategy": cfg.kind,
-                                  "mean_train_loss": loss})
+        records.append({"round": rnd, "strategy": cfg.kind, "mean_train_loss": loss})
     return starts, records
 
 
@@ -232,8 +224,7 @@ def _run_rounds(sets: list[Dataset], arch: Architecture, opt: OptimizerState,
 # --------------------------------------------------------------------------
 
 def train_conditional(shards: list[ClientShard], arch: Architecture,
-                      opt: OptimizerState, cfg: StrategyConfig, seed: int,
-                      log_sink=None) -> TrainedOutcome:
+                      opt: OptimizerState, cfg: StrategyConfig, seed: int) -> TrainedOutcome:
     """Pooled training of a single model conditioned on client fingerprints.
 
     The backbone `arch` is widened by the fingerprint length. Every sample
@@ -249,28 +240,27 @@ def train_conditional(shards: list[ClientShard], arch: Architecture,
     arch = replace(arch, stats_dim=lengths[0])
     stats_rows = np.vstack([np.tile(s.stats, (len(s.train), 1)) for s in shards])
     (params,), records = _run_rounds([_pooled(shards)], arch, opt, cfg, seed,
-                                      lambda block, lr: None, log_sink,
-                                      stats_rows=[stats_rows])
+                                      lambda block, lr: None, stats_rows=[stats_rows])
     return TrainedOutcome("conditional", arch, {s.client_id: params for s in shards},
                           log=records)
 
 
 def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
-                cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
+                cfg: StrategyConfig, seed: int) -> TrainedOutcome:
     """Each client trains independently on its own shard: `epochs` rounds of
     one pass, mixed with the identity."""
     params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
-                                  lambda block, lr: None, log_sink)
+                                  lambda block, lr: None)
     return TrainedOutcome("local", arch, _by_client(shards, params), log=records)
 
 
 def train_fedavg(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
-                 cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
+                 cfg: StrategyConfig, seed: int) -> TrainedOutcome:
     """Server-side sample-weighted averaging of per-round local updates."""
     weights = [len(s.train) for s in shards]
     params, records = _run_rounds(
         [s.train for s in shards], arch, opt, cfg, seed, lambda models, lr: None,
-        log_sink, assign=[0] * len(shards),
+        assign=[0] * len(shards),
         round_loss=lambda losses: float(np.average(losses, weights=weights)))
     return TrainedOutcome("fedavg", arch, _by_client(shards, params), log=records)
 
@@ -281,7 +271,7 @@ def _random_matching(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
 
 
 def train_gossip(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
-                 cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
+                 cfg: StrategyConfig, seed: int) -> TrainedOutcome:
     """Decentralized random pairwise averaging: every round each client trains
     locally, then a random perfect matching is drawn (odd client out skips)
     and matched pairs adopt their unweighted mean."""
@@ -299,13 +289,12 @@ def train_gossip(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
             pair.add(block[b])
             block[a] = block[b] = pair.vector
 
-    params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
-                                  mix, log_sink)
+    params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed, mix)
     return TrainedOutcome("gossip", arch, _by_client(shards, params), log=records)
 
 
 def train_oracle(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
-                 cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
+                 cfg: StrategyConfig, seed: int) -> TrainedOutcome:
     """One model per ground-truth cluster, trained on the cluster's pooled data."""
     for s in shards:
         if s.cluster_id is None or s.cluster_id < 0:
@@ -316,17 +305,15 @@ def train_oracle(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
     for k in cluster_ids:
         members = [s for s in shards if s.cluster_id == k]
         (params,), recs = _run_rounds([_pooled(members)], arch, opt, cfg, seed,
-                                      lambda block, lr: None, None)
-        for r in recs:
-            r["cluster_id"] = k
-            _emit(log_sink, records, r)
+                                      lambda block, lr: None)
+        records += [dict(r, cluster_id=k) for r in recs]
         for s in members:
             client_params[s.client_id] = params
     return TrainedOutcome("oracle", arch, client_params, log=records)
 
 
 def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
-               cfg: StrategyConfig, seed: int, log_sink=None,
+               cfg: StrategyConfig, seed: int,
                initial_models: list[ModelParams] | None = None) -> TrainedOutcome:
     """K model hypotheses; each refinement round every client joins the
     hypothesis with the lowest mean training loss (ties break to the lowest
@@ -364,7 +351,7 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
 
     reassign()
     params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
-                                  lambda models, lr: reassign(), log_sink,
+                                  lambda models, lr: reassign(),
                                   models=models, assign=assign, round_loss=round_loss)
     return TrainedOutcome("ifca", arch, _by_client(shards, params),
                           assignments=_by_client(shards, assign), log=records)
@@ -451,7 +438,7 @@ def _affinity_clusters(weights: np.ndarray) -> list[int]:
 
 
 def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
-              cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
+              cfg: StrategyConfig, seed: int) -> TrainedOutcome:
     """Decentralized averaging with adaptive weights: after each local round,
     client i adopts sum_j w_ij * theta_j with w_i = softmax over clients of
     cos(theta_i, theta_j) / tau (self included, full topology)."""
@@ -463,15 +450,14 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
         nonlocal weights_matrix
         weights_matrix = _dac_mix(block, cfg.dac_temperature)
 
-    params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
-                                  mix, log_sink)
+    params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed, mix)
     clusters = _affinity_clusters(weights_matrix)
     return TrainedOutcome("dac", arch, _by_client(shards, params),
                           assignments=_by_client(shards, clusters), log=records)
 
 
 def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
-                cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
+                cfg: StrategyConfig, seed: int) -> TrainedOutcome:
     """FedAvg global model plus per-client personal models pulled toward the
     broadcast global parameters with proximal strength ditto_lambda. The
     personal passes of each round follow the client's global-branch update;
@@ -492,7 +478,7 @@ def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
                       prox_lambda=cfg.ditto_lambda, out=personal[i])
 
     _, records = _run_rounds(
-        [s.train for s in shards], arch, opt, cfg, seed, mix, log_sink,
+        [s.train for s in shards], arch, opt, cfg, seed, mix,
         assign=[0] * len(shards),
         round_loss=lambda losses: float(np.average(losses, weights=weights)))
     return TrainedOutcome("ditto", arch, _by_client(shards, personal), log=records)
@@ -511,8 +497,8 @@ STRATEGY_FNS = {
 
 
 def run_strategy(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
-                 cfg: StrategyConfig, seed: int, log_sink=None) -> TrainedOutcome:
-    return STRATEGY_FNS[cfg.kind](shards, arch, opt, cfg, seed, log_sink=log_sink)
+                 cfg: StrategyConfig, seed: int) -> TrainedOutcome:
+    return STRATEGY_FNS[cfg.kind](shards, arch, opt, cfg, seed)
 
 
 # --------------------------------------------------------------------------
@@ -532,6 +518,6 @@ def evaluate(outcome: TrainedOutcome, shards: list[ClientShard]) -> tuple[dict[i
         stats = shard.stats if outcome.arch.conditional else None
         logits = forward(outcome.client_params[shard.client_id], outcome.arch,
                          shard.test.X, stats=stats)
-        pred = np.atleast_2d(logits).argmax(axis=1)
+        pred = logits.argmax(axis=1)
         accs[shard.client_id] = float(np.mean(pred == shard.test.y))
     return accs, float(np.mean(list(accs.values())))

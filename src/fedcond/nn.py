@@ -548,8 +548,6 @@ def loss_and_grad(params: ModelParams, arch: Architecture, x, y,
     both."""
     xb = _prepare_input(arch, np.asarray(x))
     n = xb.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
     yb = np.asarray(y).reshape(-1)
     if yb.shape[0] != n:
         raise ShapeMismatchError("labels", f"{yb.shape[0]} labels for {n} samples")

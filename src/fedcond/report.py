@@ -40,9 +40,12 @@ def thread_env() -> dict[str, str | None]:
 
 
 def build_identifier() -> str:
+    """The git revision of the checkout this package runs from, whatever
+    the working directory, else the package version."""
     try:
         rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                             capture_output=True, text=True, timeout=5)
+                             capture_output=True, text=True, timeout=5,
+                             cwd=Path(__file__).parent)
         if rev.returncode == 0:
             return f"git:{rev.stdout.strip()}"
     except OSError:
@@ -118,30 +121,35 @@ def _write_csv(path: Path, header: tuple, rows) -> None:
         w.writerows(rows)
 
 
-def emit_report(report: RunReport, out_dir) -> list[Path]:
-    """Write the run's files and return their paths: report.json (the full
-    report), detail.csv (one row per strategy x client) and summary.csv (one
-    row per strategy). On a failure none of the three is left behind."""
+def emit_report(report: RunReport, out_dir) -> None:
+    """Write the run's four files to `out_dir`: train_log.jsonl
+    (every strategy's round records in run order, one JSON object a line),
+    report.json (the full report), detail.csv (one row per strategy x
+    client) and summary.csv (one row per strategy). On any failure, an
+    interrupt included, none of the four is left behind."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = [out / "report.json", out / "detail.csv", out / "summary.csv"]
+    paths = [out / name for name in
+             ("train_log.jsonl", "report.json", "detail.csv", "summary.csv")]
     run = _run_cells(report)
     try:
         with open(paths[0], "w") as f:
+            f.writelines(json.dumps(record) + "\n"
+                         for res in report.results for record in res.train_log)
+        with open(paths[1], "w") as f:
             json.dump(report.to_dict(), f, indent=2)
             f.write("\n")
-        _write_csv(paths[1], DETAIL_COLUMNS,
+        _write_csv(paths[2], DETAIL_COLUMNS,
                    (run + [res.strategy, cid, cluster, repr(acc)]
                     for res in report.results
                     for cid, cluster, acc in zip(report.client_ids,
                                                  report.true_clusters,
                                                  res.per_client_accuracy)))
-        _write_csv(paths[2], SUMMARY_COLUMNS, summary_rows(report))
-    except Exception:
+        _write_csv(paths[3], SUMMARY_COLUMNS, summary_rows(report))
+    except BaseException:
         for p in paths:
             p.unlink(missing_ok=True)
         raise
-    return paths
 
 
 def aggregate_reports(report_paths: list[Path], out_path: Path) -> Path:

@@ -252,11 +252,3 @@ def test_subsample_per_class_caps_counts():
 def test_dataset_rejects_bad_labels():
     with pytest.raises(ValueError):
         data.Dataset("bad", np.zeros((2, 4)), np.array([0, 5]), 2, (4,))
-
-
-def test_sample_view():
-    ds = data.synth_glyphs(1, seed=0)
-    s = ds[3]
-    assert isinstance(s, data.Sample)
-    assert s.y == ds.y[3]
-    assert np.array_equal(s.x, ds.X[3])

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,8 @@ from fedcond.experiment import (StageError, build_partition, fingerprint_only,
                                 load_dataset_pair, reaggregate, run_experiment,
                                 run_suite)
 from fedcond.federation import STRATEGY_KINDS, StrategyConfig, child_seed
-from fedcond.report import THREAD_ENV_VARS, RunReport, thread_env
+from fedcond.report import (THREAD_ENV_VARS, RunReport, build_identifier, emit_report,
+                            thread_env)
 
 # the CLI subprocesses import fedcond from this checkout, never from site-packages
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -127,11 +129,44 @@ def test_report_json_round_trip(tiny_run):
 
 
 def test_train_log_is_json_lines(tiny_run):
-    _, out = tiny_run
+    report, out = tiny_run
     with open(out / "train_log.jsonl") as f:
         records = [json.loads(line) for line in f]
-    assert records, "no training records streamed"
+    assert records, "no training records written"
     assert all({"round", "strategy", "mean_train_loss"} <= set(r) for r in records)
+    assert records == [r for res in report.results for r in res.train_log]
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_emit_report_failure_leaves_none_of_the_four_files(tiny_run, tmp_path,
+                                                           monkeypatch, exc):
+    report, _ = tiny_run
+    out = tmp_path / "out"
+    logs = []
+
+    def fail(self):  # report.json follows train_log.jsonl, the first file
+        logs.append((out / "train_log.jsonl").read_text())
+        raise exc("stop")
+
+    monkeypatch.setattr(RunReport, "to_dict", fail)
+    with pytest.raises(exc):
+        emit_report(report, out)
+    assert [log.count("\n") for log in logs] == [sum(len(r.train_log)
+                                                    for r in report.results)]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_build_identifier_ignores_the_working_directory(tmp_path, monkeypatch):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
+    other = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                           capture_output=True, text=True).stdout.strip()
+    before = build_identifier()
+    monkeypatch.chdir(tmp_path)
+    assert build_identifier() == before != f"git:{other}"
 
 
 def test_report_echoes_config_and_decisions(tiny_run):
@@ -549,6 +584,12 @@ def test_cli_rejects_bad_config(tmp_path):
      "unknown HeterogeneitySpec keys: ['subclass_sets']"),
     ({"heterogeneity": {"family": "E4b", "covariate_sets": [[0, 9], [0, 8]]}},
      "unknown HeterogeneitySpec keys: ['covariate_sets']"),
+    ({"dataset": {"train_per_class": 0}}, "train_per_class must be >= 1, got 0"),
+    ({"dataset": {"train_per_class": -3}}, "train_per_class must be >= 1, got -3"),
+    ({"dataset": {"kind": "synthetic", "test_per_class": 0}},
+     "test_per_class must be >= 1, got 0"),
+    ({"heterogeneity": {"family": "E4a", "dataset_b": {"test_per_class": 0}}},
+     "test_per_class must be >= 1, got 0"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
         "ifca-rounds-ignored", "fedavg-k-ignored", "stats-method", "stats-extractor",
@@ -556,7 +597,8 @@ def test_cli_rejects_bad_config(tmp_path):
         "seed-bool", "batch-size-float", "momentum-str", "lr-negative",
         "momentum-1", "ditto-lambda-str", "K-0", "rule-unknown",
         "superclass-unknown", "covariate-clusters-1", "subclass-sets",
-        "covariate-sets"])
+        "covariate-sets", "train-per-class-0", "train-per-class-negative",
+        "synthetic-test-per-class-0", "dataset-b-test-per-class-0"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)
@@ -629,8 +671,12 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
     (5, "a suite config must be a JSON object"),
     ({"grid": {"heterogeneity.K": [], "training.epochs": [1]}},
      "suite grid lists no values for heterogeneity.K; the suite would run nothing"),
+    ({"grid": {"heterogeneity.K": [2, 2]}}, "suite grid repeats run 's_K=2'"),
+    ({"grid": {"heterogeneity.K": [3, "3"], "training.epochs": [1]}},
+     "suite grid repeats run 's_K=3_epochs=1'"),
 ], ids=["grid-scalar", "grid-list", "grid-string", "seed-str", "seed-bool",
-        "base-list", "document-number", "grid-empty-list"])
+        "base-list", "document-number", "grid-empty-list", "grid-repeated-value",
+        "grid-same-label"])
 def test_cli_suite_rejects_malformed_document(tmp_path, override, message):
     # a dict is merged into a valid suite document; anything else replaces it
     doc = (dict(suite_doc({"heterogeneity.K": [2]}), **override)

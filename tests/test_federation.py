@@ -152,15 +152,23 @@ def test_gossip_two_identical_clients_first_round_matches_fedavg():
 @pytest.mark.parametrize("kind", ["local", "fedavg", "gossip", "ifca", "dac", "ditto"])
 def test_round_engine_logs_one_record_per_round(kind):
     shards = gaussian_shards()
-    records = []
     cfg = fed.StrategyConfig(kind, epochs=3, rounds=3, ifca_refinement_rounds=3,
                              k_hypotheses=2)
-    fed.run_strategy(shards, arch_for(shards), opt(), cfg, SEED,
-                     log_sink=records.append)
+    records = fed.run_strategy(shards, arch_for(shards), opt(), cfg, SEED).log
     assert [r["round"] for r in records] == [0, 1, 2]
     for r in records:
         assert r.keys() == {"round", "strategy", "mean_train_loss"}
         assert r["strategy"] == kind and np.isfinite(r["mean_train_loss"])
+
+
+def test_oracle_logs_each_clusters_rounds_tagged_with_its_id():
+    shards = gaussian_shards()
+    out = fed.train_oracle(shards, arch_for(shards), opt(),
+                           fed.StrategyConfig("oracle", epochs=2), SEED)
+    clusters = sorted({s.cluster_id for s in shards})
+    assert len(clusters) > 1
+    assert [(r["cluster_id"], r["round"]) for r in out.log] == \
+        [(k, rnd) for k in clusters for rnd in range(2)]
 
 
 def test_every_strategy_kind_has_a_training_function():
@@ -542,9 +550,7 @@ def test_oracle_rejects_unknown_cluster():
 
 def test_strategy_log_records_have_round_and_loss():
     shards = gaussian_shards()
-    records = []
-    fed.train_fedavg(shards, arch_for(shards), opt(),
-                     fed.StrategyConfig("fedavg", rounds=3), SEED,
-                     log_sink=records.append)
+    records = fed.train_fedavg(shards, arch_for(shards), opt(),
+                               fed.StrategyConfig("fedavg", rounds=3), SEED).log
     assert len(records) == 3
     assert all({"round", "strategy", "mean_train_loss"} <= set(r) for r in records)
