@@ -3,7 +3,7 @@
 Configs are plain JSON documents; every run is fully reconstructible from the
 config plus its seed. `ExperimentConfig.from_dict` validates a parsed
 document and `to_dict` round-trips it (the echo embedded in reports is this
-dict).
+dict). `strategy_config` turns one strategy entry into its `StrategyConfig`.
 """
 
 from __future__ import annotations
@@ -15,11 +15,14 @@ from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
+from .data import MNIST_FILES
+from .heterogeneity import NAMED_RULES, SPARSITY_LEVELS
 from .nn import ARCHITECTURE_KINDS
 
 DATA_ROOT_ENV = "FEDCOND_DATA_ROOT"
 
 DATASET_KINDS = ("idx", "glyphs", "synthetic")
+LR_SCHEDULES = ("constant", "cosine")
 FAMILIES = ("E1", "E2a", "E2b", "E3a", "E3b", "E4a", "E4b")
 
 
@@ -75,7 +78,6 @@ class DatasetSpec:
         if self.kind not in DATASET_KINDS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "idx":
-            from .data import MNIST_FILES
             root = self.resolved_root()
             for fname in MNIST_FILES:
                 if not (root / fname).exists():
@@ -99,7 +101,6 @@ class HeterogeneitySpec:
     dataset_b: DatasetSpec | None = None  # E4a
 
     def validate(self):
-        from .heterogeneity import NAMED_RULES, SPARSITY_LEVELS
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.K < 1:
@@ -124,7 +125,6 @@ class HeterogeneitySpec:
                               f"got {self.covariate_clusters}")
 
     def effective_clients_per_cluster(self) -> int:
-        from .heterogeneity import SPARSITY_LEVELS
         if self.sparsity is not None:
             return SPARSITY_LEVELS[self.sparsity]
         return self.clients_per_cluster
@@ -150,7 +150,6 @@ class TrainingSpec:
     lr_schedule: str = "constant"  # constant | cosine; applies to all strategies
 
     def validate(self):
-        from .federation import LR_SCHEDULES
         if self.architecture not in ARCHITECTURE_KINDS:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 1:
@@ -163,33 +162,91 @@ class TrainingSpec:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
-def strategy_config(entry: dict, training: TrainingSpec):
+# the StrategyConfig fields a strategy entry of each kind may set; `kind` names
+# the entry and `lr_schedule` is the run's `training.lr_schedule`
+_ROUNDS = ("rounds", "local_epochs_per_round")
+STRATEGY_KEYS = {
+    "conditional": ("epochs",), "local": ("epochs",), "fedavg": _ROUNDS,
+    "gossip": _ROUNDS + ("gossip_pairs_per_round",), "oracle": ("epochs",),
+    "ifca": ("local_epochs_per_round", "k_hypotheses", "ifca_refinement_rounds"),
+    "dac": _ROUNDS + ("dac_temperature",), "ditto": _ROUNDS + ("ditto_lambda",),
+}
+STRATEGY_KINDS = tuple(STRATEGY_KEYS)
+
+
+@dataclass
+class StrategyConfig:
+    """Hyperparameters for one strategy run; `schedule` says how many rounds
+    of how many passes the kind runs."""
+
+    kind: str
+    epochs: int = 20
+    rounds: int = 20
+    local_epochs_per_round: int = 1
+    k_hypotheses: int | None = None
+    ifca_refinement_rounds: int = 5
+    ditto_lambda: float = 1.0
+    gossip_pairs_per_round: int | None = None  # None = full random matching
+    dac_temperature: float = 0.1
+    lr_schedule: str = "constant"  # constant | cosine (decay to 5% over the run)
+
+    def __post_init__(self):
+        where = f"strategy {self.kind!r}: "
+        if self.kind not in STRATEGY_KINDS:
+            raise ConfigError(f"{where}unknown strategy kind {self.kind!r}")
+        check_field_types(self, where)
+        for name in ("epochs", "rounds", "local_epochs_per_round",
+                     "ifca_refinement_rounds"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{where}{name} must be an integer >= 1, "
+                                  f"got {value!r}")
+        pairs = self.gossip_pairs_per_round
+        if pairs is not None and pairs < 0:
+            raise ConfigError(f"{where}gossip_pairs_per_round must be null or an "
+                              f"integer >= 0, got {pairs!r}")
+        if self.ditto_lambda < 0:
+            raise ConfigError(f"{where}ditto_lambda must be >= 0")
+        if self.dac_temperature <= 0:
+            raise ConfigError(f"{where}dac_temperature must be > 0")
+        if self.k_hypotheses is not None and self.k_hypotheses < 1:
+            raise ConfigError(f"{where}k_hypotheses must be >= 1")
+        if self.lr_schedule not in LR_SCHEDULES:
+            raise ConfigError(f"{where}unknown lr_schedule {self.lr_schedule!r}")
+
+    @property
+    def schedule(self) -> tuple[int, int]:
+        """(rounds, passes per round), from the fields `STRATEGY_KEYS` lists
+        for the kind: the pooled kinds and Local run `epochs` rounds of one
+        pass, IFCA `ifca_refinement_rounds` rounds of `local_epochs_per_round`
+        passes, and the other federated kinds `rounds` rounds of them."""
+        if self.kind == "ifca":
+            return self.ifca_refinement_rounds, self.local_epochs_per_round
+        if "epochs" in STRATEGY_KEYS[self.kind]:
+            return self.epochs, 1
+        return self.rounds, self.local_epochs_per_round
+
+
+def strategy_config(entry: dict, training: TrainingSpec) -> StrategyConfig:
     """Per-strategy `StrategyConfig`: training-spec defaults plus overrides.
 
     Every federated baseline defaults to `epochs` rounds of one local epoch,
     so all methods see the same number of passes over local data; IFCA spends
-    the same budget as 5 refinement rounds. An unknown key, a key the kind
-    does not read (`STRATEGY_KEYS`), or a value that `StrategyConfig`
-    rejects, raises ConfigError.
+    the same budget as 5 refinement rounds. Every strategy runs the run's
+    `training.lr_schedule`. An unknown key, a key the kind does not read
+    (`STRATEGY_KEYS`, which lists `lr_schedule` for no kind), or a value that
+    `StrategyConfig` rejects, raises ConfigError.
     """
-    from .federation import STRATEGY_KEYS, StrategyConfig
     entry = dict(entry)
     kind = entry.pop("kind", None)
     bad = set(entry) - set(StrategyConfig.__dataclass_fields__)
     if bad:
         raise ConfigError(f"unknown {kind} strategy keys: {sorted(bad)}")
-    defaults = dict(
-        epochs=training.epochs,
-        rounds=training.epochs,
-        local_epochs_per_round=1,
-        lr_schedule=training.lr_schedule,
-    )
-    defaults.update(entry)
-    try:
-        cfg = StrategyConfig(kind=kind, **defaults)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"strategy {kind!r}: {exc}") from None
-    ignored = set(entry) - {"lr_schedule", *STRATEGY_KEYS[kind]}
+    defaults = dict(epochs=training.epochs, rounds=training.epochs,
+                    local_epochs_per_round=1)
+    cfg = StrategyConfig(kind=kind, **{**defaults, **entry,
+                                       "lr_schedule": training.lr_schedule})
+    ignored = set(entry) - set(STRATEGY_KEYS[kind])
     if ignored:
         raise ConfigError(f"{kind} strategy does not read keys: {sorted(ignored)}")
     if kind == "ifca" and "local_epochs_per_round" not in entry:
@@ -305,7 +362,7 @@ class SuiteConfig:
         if empty:
             raise ConfigError(f"suite grid lists no values for {', '.join(empty)}; "
                               f"the suite would run nothing")
-        names = [name for name, _ in self._points()]
+        names = [doc["name"] for doc in self.expand()]
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise ConfigError(f"suite grid repeats run {repeated[0]!r}; every grid "
@@ -323,28 +380,27 @@ class SuiteConfig:
         return cls(name=doc.get("name", "suite"), seed=doc.get("seed", 0),
                    base=doc["base"], grid=doc["grid"])
 
-    def _points(self) -> list[tuple[str, dict]]:
-        """Each grid point's run name and {dotted path: value}, in
-        deterministic order."""
+    def expand(self) -> list[dict]:
+        """All grid points as full config dicts, in deterministic order. A
+        grid path through a value that is not an object raises ConfigError."""
         keys = sorted(self.grid)
         combos: list[dict] = [{}]
         for k in keys:
             combos = [dict(c, **{k: v}) for c in combos for v in self.grid[k]]
-        labels = ["_".join(f"{k.split('.')[-1]}={c[k]}" for k in keys) for c in combos]
-        return [(f"{self.name}_{label}" if label else self.name, combo)
-                for label, combo in zip(labels, combos)]
-
-    def expand(self) -> list[dict]:
-        """All grid points as full config dicts, in deterministic order."""
         docs = []
-        for name, combo in self._points():
+        for combo in combos:
             doc = json.loads(json.dumps(self.base))  # deep copy
             for dotted, value in combo.items():
                 node = doc
                 parts = dotted.split(".")
-                for p in parts[:-1]:
+                for i, p in enumerate(parts[:-1]):
                     node = node.setdefault(p, {})
+                    if not isinstance(node, dict):
+                        raise ConfigError(f"suite grid path {dotted!r} runs through "
+                                          f"{'.'.join(parts[:i + 1])!r}, which is "
+                                          f"{node!r}, not an object")
                 node[parts[-1]] = value
-            doc["name"] = name
+            label = "_".join(f"{k.split('.')[-1]}={combo[k]}" for k in keys)
+            doc["name"] = f"{self.name}_{label}" if label else self.name
             docs.append(doc)
         return docs

@@ -39,7 +39,6 @@ class IdxCountMismatchError(IdxError):
 class Dataset:
     """A labelled dataset stored columnar: X is (n, d) with rows in [0, 1]."""
 
-    name: str
     X: np.ndarray
     y: np.ndarray
     class_count: int
@@ -58,9 +57,8 @@ class Dataset:
     def __len__(self) -> int:
         return self.X.shape[0]
 
-    def take(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
-        return Dataset(name or self.name, self.X[idx], self.y[idx],
-                       self.class_count, self.input_shape)
+    def take(self, idx: np.ndarray) -> "Dataset":
+        return Dataset(self.X[idx], self.y[idx], self.class_count, self.input_shape)
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,8 @@ def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
     return data.reshape(dims)
 
 
-def load_idx(images_path, labels_path, name: str = "idx",
-             per_class_cap: int | None = None, seed: int = 0) -> Dataset:
+def load_idx(images_path, labels_path, per_class_cap: int | None = None,
+             seed: int = 0) -> Dataset:
     """Load an IDX image/label file pair into a Dataset (pixels / 255). With
     `per_class_cap`, keep the rows `subsample_per_class` would keep with
     `seed`, chosen from the labels so that only they become float64."""
@@ -118,7 +116,7 @@ def load_idx(images_path, labels_path, name: str = "idx",
         keep = per_class_indices(y, class_count, per_class_cap, seed)
         images, y = images[keep], y[keep]
     X = np.divide(images.reshape(len(y), h * w), 255.0, dtype=np.float64)
-    return Dataset(name, X, y, class_count, (h, w))
+    return Dataset(X, y, class_count, (h, w))
 
 
 def write_idx(dataset: Dataset, images_path, labels_path) -> None:
@@ -134,28 +132,17 @@ def write_idx(dataset: Dataset, images_path, labels_path) -> None:
         f.write(dataset.y.astype(np.uint8).tobytes())
 
 
-def load_idx_pair(root, train_images, train_labels, test_images, test_labels,
-                  name: str, per_class_cap: int | None = None,
-                  seeds: tuple[int, int] = (0, 0)) -> DatasetPair:
-    root = Path(root)
-    return DatasetPair(
-        train=load_idx(root / train_images, root / train_labels, name=name,
-                       per_class_cap=per_class_cap, seed=seeds[0]),
-        test=load_idx(root / test_images, root / test_labels, name=name,
-                      per_class_cap=per_class_cap, seed=seeds[1]),
-    )
-
-
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
-def load_mnist_like(root, name: str = "mnist", per_class_cap: int | None = None,
+def load_mnist_like(root, per_class_cap: int | None = None,
                     seeds: tuple[int, int] = (0, 0)) -> DatasetPair:
     """Load MNIST or Fashion-MNIST from the conventional four IDX files, each
     split capped as `load_idx` caps it, with its own seed."""
-    return load_idx_pair(root, *MNIST_FILES, name=name,
-                         per_class_cap=per_class_cap, seeds=seeds)
+    paths = [Path(root) / f for f in MNIST_FILES]
+    return DatasetPair(train=load_idx(*paths[:2], per_class_cap, seeds[0]),
+                       test=load_idx(*paths[2:], per_class_cap, seeds[1]))
 
 
 # --------------------------------------------------------------------------
@@ -173,8 +160,7 @@ class GaussianClusterSpec:
 
 
 def synth_clusters(cluster_specs: list[GaussianClusterSpec], n_per_cluster: int,
-                   seed: int, class_count: int,
-                   name: str = "synth") -> tuple[Dataset, np.ndarray]:
+                   seed: int, class_count: int) -> tuple[Dataset, np.ndarray]:
     """Seeded Gaussian-cluster dataset; returns (dataset, cluster id per row).
 
     Draws are clipped into [0, 1] after an affine squash so the Dataset pixel
@@ -199,8 +185,7 @@ def synth_clusters(cluster_specs: list[GaussianClusterSpec], n_per_cluster: int,
         cids.append(np.full(n_per_cluster, cid, dtype=np.int64))
     X = np.vstack(xs)
     y = np.concatenate(ys)
-    ds = Dataset(name, X, y, class_count, (dim,))
-    return ds, np.concatenate(cids)
+    return Dataset(X, y, class_count, (dim,)), np.concatenate(cids)
 
 
 # --------------------------------------------------------------------------
@@ -298,8 +283,7 @@ def _glyph_template(digit: int) -> np.ndarray:
     return img
 
 
-def synth_glyphs(n_per_class: int, seed: int, name: str = "glyphs",
-                 invert: bool = False) -> Dataset:
+def synth_glyphs(n_per_class: int, seed: int, invert: bool = False) -> Dataset:
     """Seeded 28x28 digit-glyph dataset with per-sample variability.
 
     Each sample is a seven-segment digit with random translation (up to
@@ -345,17 +329,17 @@ def synth_glyphs(n_per_class: int, seed: int, name: str = "glyphs",
         np.clip(noise, 0.0, 1.0, out=noise)
         if invert:
             np.subtract(1.0, noise, out=noise)
-    return Dataset(name, X, y, 10, GLYPH_SHAPE)
+    return Dataset(X, y, 10, GLYPH_SHAPE)
 
 
 def glyph_pair(train_per_class: int, test_per_class: int, seed: int,
-               invert: bool = False, name: str = "glyphs") -> DatasetPair:
+               invert: bool = False) -> DatasetPair:
     """Train/test glyph splits from disjoint child seeds."""
     ss = np.random.SeedSequence([int(seed), 0x91f])
     s_train, s_test = ss.spawn(2)
     return DatasetPair(
         train=synth_glyphs(train_per_class, int(s_train.generate_state(1)[0]),
-                           name=name, invert=invert),
+                           invert=invert),
         test=synth_glyphs(test_per_class, int(s_test.generate_state(1)[0]),
-                          name=name, invert=invert),
+                          invert=invert),
     )

@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, DatasetSpec, ExperimentConfig, SuiteConfig,
-                     strategy_config)
+from .config import (ConfigError, DatasetSpec, ExperimentConfig, StrategyConfig,
+                     SuiteConfig, strategy_config)
 from .data import (Dataset, DatasetPair, GaussianClusterSpec, glyph_pair,
                    load_mnist_like, subsample_per_class, synth_clusters)
-from .federation import (OptimizerState, StrategyConfig, TrainedOutcome, child_seed,
-                         evaluate, run_strategy)
+from .federation import (OptimizerState, TrainedOutcome, child_seed, evaluate,
+                         run_strategy)
 from .heterogeneity import (ClientShard, class_blocks, paired_covariate_sets,
                             partition_combined, partition_concept_permutation,
                             partition_concept_semantic, partition_covariate_rotation,
@@ -69,12 +69,11 @@ def load_dataset_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
     cap_seeds = (child_seed(seed, 0xCA9, 0), child_seed(seed, 0xCA9, 1))
     if spec.kind == "idx":
         # capped while the pixels are still bytes: only kept rows become float64
-        return load_mnist_like(spec.resolved_root(), name=spec.name,
-                               per_class_cap=spec.per_class_cap, seeds=cap_seeds)
+        return load_mnist_like(spec.resolved_root(), per_class_cap=spec.per_class_cap,
+                               seeds=cap_seeds)
     if spec.kind == "glyphs":
         pair = glyph_pair(spec.train_per_class, spec.test_per_class,
-                          child_seed(seed, 0xDA7A), invert=spec.invert,
-                          name=spec.name)
+                          child_seed(seed, 0xDA7A), invert=spec.invert)
     elif spec.kind == "synthetic":
         pair = _synthetic_blob_pair(spec, seed)
     else:
@@ -96,7 +95,7 @@ def _synthetic_blob_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
              for c in range(classes)]
 
     def make(n, s):
-        ds, _ = synth_clusters(specs, n, s, class_count=classes, name=spec.name)
+        ds, _ = synth_clusters(specs, n, s, class_count=classes)
         return ds
 
     return DatasetPair(train=make(spec.train_per_class, child_seed(seed, 0xB70B, 0)),

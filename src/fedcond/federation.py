@@ -18,23 +18,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import check_field_types
+from .config import StrategyConfig
 from .data import Dataset
 from .heterogeneity import ClientShard
 from .nn import (Architecture, Fold, ModelParams, OptimizerState, forward,
                  init_params, mean_cross_entropy, train_sgd)
 
 log = logging.getLogger(__name__)
-
-# the StrategyConfig fields each kind reads, besides `kind` and `lr_schedule`
-_ROUNDS = ("rounds", "local_epochs_per_round")
-STRATEGY_KEYS = {
-    "conditional": ("epochs",), "local": ("epochs",), "fedavg": _ROUNDS,
-    "gossip": _ROUNDS + ("gossip_pairs_per_round",), "oracle": ("epochs",),
-    "ifca": ("local_epochs_per_round", "k_hypotheses", "ifca_refinement_rounds"),
-    "dac": _ROUNDS + ("dac_temperature",), "ditto": _ROUNDS + ("ditto_lambda",),
-}
-STRATEGY_KINDS = tuple(STRATEGY_KEYS)
 
 
 def child_seed(*keys: int) -> int:
@@ -43,59 +33,7 @@ def child_seed(*keys: int) -> int:
                .generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass
-class StrategyConfig:
-    """Hyperparameters for one strategy run; `schedule` says how many rounds
-    of how many passes the kind runs."""
-
-    kind: str
-    epochs: int = 20
-    rounds: int = 20
-    local_epochs_per_round: int = 1
-    k_hypotheses: int | None = None
-    ifca_refinement_rounds: int = 5
-    ditto_lambda: float = 1.0
-    gossip_pairs_per_round: int | None = None  # None = full random matching
-    dac_temperature: float = 0.1
-    lr_schedule: str = "constant"  # constant | cosine (decay to 5% over the run)
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        check_field_types(self)
-        for name in ("epochs", "rounds", "local_epochs_per_round",
-                     "ifca_refinement_rounds"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        pairs = self.gossip_pairs_per_round
-        if pairs is not None and pairs < 0:
-            raise ValueError(f"gossip_pairs_per_round must be null or an "
-                             f"integer >= 0, got {pairs!r}")
-        if self.ditto_lambda < 0:
-            raise ValueError("ditto_lambda must be >= 0")
-        if self.dac_temperature <= 0:
-            raise ValueError("dac_temperature must be > 0")
-        if self.k_hypotheses is not None and self.k_hypotheses < 1:
-            raise ValueError("k_hypotheses must be >= 1")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-
-    @property
-    def schedule(self) -> tuple[int, int]:
-        """(rounds, passes per round), from the fields `STRATEGY_KEYS` lists
-        for the kind: the pooled kinds and Local run `epochs` rounds of one
-        pass, IFCA `ifca_refinement_rounds` rounds of `local_epochs_per_round`
-        passes, and the other federated kinds `rounds` rounds of them."""
-        if self.kind == "ifca":
-            return self.ifca_refinement_rounds, self.local_epochs_per_round
-        if "epochs" in STRATEGY_KEYS[self.kind]:
-            return self.epochs, 1
-        return self.rounds, self.local_epochs_per_round
-
-
 LR_FLOOR = 0.05
-LR_SCHEDULES = ("constant", "cosine")
 
 
 def lr_at(base_lr: float, step: int, total: int, schedule: str) -> float:
@@ -126,7 +64,7 @@ def mean_shard_loss(params: ModelParams, arch: Architecture, shard: ClientShard)
 def _pooled(shards: list[ClientShard]) -> Dataset:
     """The clients' training sets stacked in client order."""
     first = shards[0].train
-    return Dataset("pooled", np.vstack([s.train.X for s in shards]),
+    return Dataset(np.vstack([s.train.X for s in shards]),
                    np.concatenate([s.train.y for s in shards]),
                    first.class_count, first.input_shape)
 

@@ -141,8 +141,8 @@ def _gather(ds: Dataset, idx: np.ndarray, rule: LabelRule | None,
     if angle:
         X = rotate_rows(X, ds.input_shape, angle)
     if rule is None:
-        return Dataset(ds.name, X, y, ds.class_count, ds.input_shape)
-    return Dataset(ds.name, X, rule.apply(y), rule.arity, ds.input_shape)
+        return Dataset(X, y, ds.class_count, ds.input_shape)
+    return Dataset(X, rule.apply(y), rule.arity, ds.input_shape)
 
 
 def _assemble(clusters: list[_Cluster], clients_per_cluster: int,

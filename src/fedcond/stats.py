@@ -33,8 +33,6 @@ import numpy as np
 
 from .heterogeneity import ClientShard
 
-DEFAULT_STATS_DIM = 32
-
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
     out = np.zeros((y.shape[0], class_count))
@@ -86,8 +84,7 @@ def pca_eigenvalues(Z: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
-def fingerprint_client(shard: ClientShard, class_count: int,
-                       l: int = DEFAULT_STATS_DIM) -> np.ndarray:
+def fingerprint_client(shard: ClientShard, class_count: int, l: int) -> np.ndarray:
     """Compute and attach a client's raw fingerprint from its training shard.
 
     Returns the client's local eigenvalues, unstandardized; `fingerprint_all`
@@ -101,8 +98,7 @@ def fingerprint_client(shard: ClientShard, class_count: int,
     return stats
 
 
-def fingerprint_all(shards: list[ClientShard], class_count: int,
-                    l: int = DEFAULT_STATS_DIM) -> np.ndarray:
+def fingerprint_all(shards: list[ClientShard], class_count: int, l: int) -> np.ndarray:
     """Standardized fingerprints for every shard, stacked (n_clients, l).
 
     Each coordinate of the raw fingerprints is standardized across these

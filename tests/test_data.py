@@ -83,7 +83,7 @@ def test_load_idx_scaling_matches_two_step_expression(tmp_path):
 def test_idx_round_trip(tmp_path):
     ds = data.synth_glyphs(3, seed=0)
     data.write_idx(ds, tmp_path / "i", tmp_path / "l")
-    back = data.load_idx(tmp_path / "i", tmp_path / "l", name="glyphs")
+    back = data.load_idx(tmp_path / "i", tmp_path / "l")
     assert back.y.tolist() == ds.y.tolist()
     assert np.abs(back.X - ds.X).max() <= 0.5 / 255  # byte quantization only
 
@@ -251,4 +251,4 @@ def test_subsample_per_class_caps_counts():
 
 def test_dataset_rejects_bad_labels():
     with pytest.raises(ValueError):
-        data.Dataset("bad", np.zeros((2, 4)), np.array([0, 5]), 2, (4,))
+        data.Dataset(np.zeros((2, 4)), np.array([0, 5]), 2, (4,))

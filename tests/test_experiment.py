@@ -18,13 +18,14 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fedcond.config import ConfigError, DatasetSpec, ExperimentConfig, SuiteConfig
+from fedcond.config import (STRATEGY_KINDS, ConfigError, DatasetSpec, ExperimentConfig,
+                            StrategyConfig, SuiteConfig)
 from fedcond.data import (MNIST_FILES, glyph_pair, load_mnist_like,
                           subsample_per_class, write_idx)
 from fedcond.experiment import (StageError, build_partition, fingerprint_only,
                                 load_dataset_pair, reaggregate, run_experiment,
                                 run_suite)
-from fedcond.federation import STRATEGY_KINDS, StrategyConfig, child_seed
+from fedcond.federation import child_seed
 from fedcond.report import (THREAD_ENV_VARS, RunReport, build_identifier, emit_report,
                             thread_env)
 
@@ -255,7 +256,7 @@ def test_idx_cap_converts_only_the_kept_rows(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    full = load_mnist_like(tmp_path, name="idx")
+    full = load_mnist_like(tmp_path)
     for i, (split, ds) in enumerate(zip((full.train, full.test), (got.train, got.test))):
         want = subsample_per_class(split, 50, child_seed(3, 0xCA9, i))
         assert np.array_equal(ds.X, want.X)
@@ -557,6 +558,8 @@ def test_cli_rejects_bad_config(tmp_path):
      "ifca strategy does not read keys: ['rounds']"),
     ({"strategies": [{"kind": "fedavg", "k_hypotheses": 3}]},
      "fedavg strategy does not read keys: ['k_hypotheses']"),
+    ({"strategies": [{"kind": "fedavg", "lr_schedule": "cosine"}]},
+     "fedavg strategy does not read keys: ['lr_schedule']"),
     ({"stats": {"method": "dense"}}, "unknown StatsSpec keys: ['method']"),
     ({"stats": {"extractor": "identity"}}, "unknown StatsSpec keys: ['extractor']"),
     ({"training": {"epochs": "3"}}, "training.epochs must be an integer, got '3'"),
@@ -592,10 +595,10 @@ def test_cli_rejects_bad_config(tmp_path):
      "test_per_class must be >= 1, got 0"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
-        "ifca-rounds-ignored", "fedavg-k-ignored", "stats-method", "stats-extractor",
-        "epochs-str", "l-str", "K-str", "cap-str", "strategy-int", "seed-str",
-        "seed-bool", "batch-size-float", "momentum-str", "lr-negative",
-        "momentum-1", "ditto-lambda-str", "K-0", "rule-unknown",
+        "ifca-rounds-ignored", "fedavg-k-ignored", "fedavg-lr-schedule",
+        "stats-method", "stats-extractor", "epochs-str", "l-str", "K-str",
+        "cap-str", "strategy-int", "seed-str", "seed-bool", "batch-size-float",
+        "momentum-str", "lr-negative", "momentum-1", "ditto-lambda-str", "K-0", "rule-unknown",
         "superclass-unknown", "covariate-clusters-1", "subclass-sets",
         "covariate-sets", "train-per-class-0", "train-per-class-negative",
         "synthetic-test-per-class-0", "dataset-b-test-per-class-0"])
@@ -674,9 +677,16 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
     ({"grid": {"heterogeneity.K": [2, 2]}}, "suite grid repeats run 's_K=2'"),
     ({"grid": {"heterogeneity.K": [3, "3"], "training.epochs": [1]}},
      "suite grid repeats run 's_K=3_epochs=1'"),
+    ({"base": {"heterogeneity": 3}},
+     "suite grid path 'heterogeneity.K' runs through 'heterogeneity', which is 3, "
+     "not an object"),
+    ({"base": {"heterogeneity": {"K": 2}}, "grid": {"heterogeneity.K.x": [2]}},
+     "suite grid path 'heterogeneity.K.x' runs through 'heterogeneity.K', which is 2, "
+     "not an object"),
 ], ids=["grid-scalar", "grid-list", "grid-string", "seed-str", "seed-bool",
         "base-list", "document-number", "grid-empty-list", "grid-repeated-value",
-        "grid-same-label"])
+        "grid-same-label", "grid-path-through-number",
+        "grid-path-through-nested-number"])
 def test_cli_suite_rejects_malformed_document(tmp_path, override, message):
     # a dict is merged into a valid suite document; anything else replaces it
     doc = (dict(suite_doc({"heterogeneity.K": [2]}), **override)

@@ -8,6 +8,7 @@ import pytest
 
 from fedcond import federation as fed
 from fedcond import nn
+from fedcond.config import STRATEGY_KEYS, STRATEGY_KINDS
 from fedcond.data import (Dataset, DatasetPair, GaussianClusterSpec, synth_clusters,
                           synth_glyphs)
 from fedcond.heterogeneity import ClientShard, partition_domain_shift, partition_label_shift
@@ -120,7 +121,7 @@ def test_oracle_k1_equals_centralized_equals_single_client_fedavg():
     central = centralized(X, y, arch, opt(), 6, SEED)
     assert dist(orc.client_params[0], central) == 0.0
 
-    merged_train = Dataset("pool", X, y, 2, (2,))
+    merged_train = Dataset(X, y, 2, (2,))
     merged = [ClientShard(0, 0, merged_train, one_cluster[0].test)]
     fa = fed.train_fedavg(merged, arch, opt(),
                           fed.StrategyConfig("fedavg", rounds=1,
@@ -172,10 +173,10 @@ def test_oracle_logs_each_clusters_rounds_tagged_with_its_id():
 
 
 def test_every_strategy_kind_has_a_training_function():
-    assert list(fed.STRATEGY_FNS) == list(fed.STRATEGY_KEYS) == list(fed.STRATEGY_KINDS)
+    assert list(fed.STRATEGY_FNS) == list(STRATEGY_KEYS) == list(STRATEGY_KINDS)
 
 
-@pytest.mark.parametrize("kind", fed.STRATEGY_KINDS)
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
 def test_schedule_reads_only_the_fields_its_kind_reads(kind):
     """Every schedule field gets a distinct value, so the values that come
     back name the fields the schedule read: each must be one `STRATEGY_KEYS`
@@ -184,7 +185,7 @@ def test_schedule_reads_only_the_fields_its_kind_reads(kind):
               "ifca_refinement_rounds": 19}
     rounds, passes = fed.StrategyConfig(kind, **values).schedule
     field_of = {v: name for name, v in values.items()}
-    keys = fed.STRATEGY_KEYS[kind]
+    keys = STRATEGY_KEYS[kind]
     assert field_of[rounds] in keys
     assert passes == 1 or field_of[passes] in keys
     if passes == 1:
@@ -280,7 +281,7 @@ def test_round_peak_memory_is_one_block_plus_velocities(kind, rounds, max_blocks
     rng = np.random.default_rng(0)
     shards = []
     for cid in range(n_clients):
-        data = [Dataset("noise", rng.random((8, d)), rng.integers(0, 10, 8), 10, (d,))
+        data = [Dataset(rng.random((8, d)), rng.integers(0, 10, 8), 10, (d,))
                 for _ in range(2)]
         shards.append(ClientShard(client_id=cid, cluster_id=cid % 2,
                                   train=data[0], test=data[1]))
@@ -498,7 +499,7 @@ def constant_predictor_outcome(shards, cls=0):
 
 def test_evaluate_counted_fixture():
     shards = gaussian_shards()
-    test = Dataset("fix", np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]),
+    test = Dataset(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]),
                    np.array([0, 0, 0, 1]), 2, (2,))
     fixture = [ClientShard(0, 0, shards[0].train, test)]
     accs, mean = fed.evaluate(constant_predictor_outcome(fixture), fixture)
@@ -507,7 +508,7 @@ def test_evaluate_counted_fixture():
 
 def test_evaluate_perfect_predictor():
     shards = gaussian_shards()
-    test = Dataset("fix", np.array([[0.1, 0.2], [0.3, 0.4]]),
+    test = Dataset(np.array([[0.1, 0.2], [0.3, 0.4]]),
                    np.array([1, 1]), 2, (2,))
     fixture = [ClientShard(0, 0, shards[0].train, test)]
     accs, mean = fed.evaluate(constant_predictor_outcome(fixture, cls=1), fixture)
@@ -528,7 +529,7 @@ def test_evaluate_constant_predictor_on_balanced_ten_classes():
 
 def test_empty_test_shard_rejected_at_construction():
     ds = synth_glyphs(2, seed=0)
-    empty = Dataset("none", np.zeros((0, 784)), np.array([], dtype=int), 10, (28, 28))
+    empty = Dataset(np.zeros((0, 784)), np.array([], dtype=int), 10, (28, 28))
     with pytest.raises(ValueError, match="empty"):
         ClientShard(0, 0, ds, empty)
 

@@ -205,7 +205,7 @@ def test_domain_shift_two_clusters_by_source():
 
 def test_domain_shift_rejects_mismatched_shapes():
     a = tiny_pair()
-    flat = Dataset("flat", np.zeros((4, 10)), np.zeros(4, dtype=int), 10, (10,))
+    flat = Dataset(np.zeros((4, 10)), np.zeros(4, dtype=int), 10, (10,))
     b = DatasetPair(train=flat, test=flat)
     with pytest.raises(ValueError, match="input_shape"):
         het.partition_domain_shift(a, b, 1, 0)
@@ -269,7 +269,7 @@ def _reference_restrict(ds, classes):
 def _reference_rotate(ds, angle):
     h, w = ds.input_shape
     X = np.rot90(ds.X.reshape(-1, h, w), k=angle // 90, axes=(1, 2)).reshape(len(ds), -1)
-    return Dataset(ds.name, X, ds.y, ds.class_count, ds.input_shape)
+    return Dataset(X, ds.y, ds.class_count, ds.input_shape)
 
 
 def _reference_split(pair, K, tag, seed):
@@ -294,7 +294,7 @@ def reference_partition(clusters, clients_per_cluster, seed):
 
 
 def _relabeled(ds, rule):
-    return Dataset(ds.name, ds.X, rule.apply(ds.y), rule.arity, ds.input_shape)
+    return Dataset(ds.X, rule.apply(ds.y), rule.arity, ds.input_shape)
 
 
 def _family_cases(pair, other):

@@ -2,19 +2,22 @@
 path (`perfbench/layers.py`), and its stage timer wraps the stage functions
 bound in `fedcond.experiment` (`STAGES` in `perfbench/rep.py`). Each must
 keep resolving, and a run must keep calling the stages through those
-bindings, or the benchmark fails or times nothing."""
+bindings, or the benchmark fails or times nothing. A traced run also checks
+the samples through `nn.loss_and_grad` against the pin of its workload
+(`perfbench/workloads.py`), which the strategies' schedules must keep
+giving."""
 
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-from fedcond import experiment
-from fedcond.config import ExperimentConfig
+from fedcond import experiment, nn
+from fedcond.config import STRATEGY_KINDS, ExperimentConfig, strategy_config
 from fedcond.federation import StrategyConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-LAYERS = PERFBENCH / "layers.py"
 REP = PERFBENCH / "rep.py"
 
 TINY = {
@@ -28,6 +31,15 @@ TINY = {
                  "batch_size": 8},
     "strategies": ["conditional", "fedavg"],
 }
+
+
+def perfbench_module(name: str):
+    """`perfbench/<name>.py`, loaded by path without the runner's imports."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def resolves(module: str, path: str) -> bool:
@@ -49,9 +61,7 @@ def timed_stages() -> dict:
 
 
 def test_every_traced_name_resolves_in_fedcond():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = perfbench_module("layers")
     assert len(layers.TRACED) > 0
     missing = [f"fedcond.{module}.{path}" for _, module, path, _ in layers.TRACED
                if not resolves(module, path)]
@@ -83,3 +93,47 @@ def test_runs_call_every_timed_stage_through_its_binding(monkeypatch, tmp_path):
     before = dict(calls)
     experiment.fingerprint_only(ExperimentConfig.from_dict(TINY), out_dir=tmp_path / "fp")
     assert {n: calls[n] - before[n] for n in prelude} == dict.fromkeys(prelude, 1)
+
+
+def train_samples(schedules: list[tuple[str, list[int]]], n_train: int) -> int:
+    """Samples a run passes through `nn.loss_and_grad`, from each strategy's
+    kind and `[rounds, passes]`: every pass covers the training set once,
+    and Ditto makes each pass twice (global and personal model)."""
+    return sum((2 if kind == "ditto" else 1) * rounds * passes * n_train
+               for kind, (rounds, passes) in schedules)
+
+
+def training_set_size(config: ExperimentConfig) -> int:
+    pair = experiment.load_dataset_pair(config.dataset, config.seed)
+    return sum(len(s.train) for s in experiment.build_partition(config, pair))
+
+
+def test_loss_and_grad_sees_every_pass_of_every_schedule(monkeypatch, tmp_path):
+    samples = 0
+
+    def counted(params, arch, x, *args, _fn=nn.loss_and_grad, **kwargs):
+        nonlocal samples
+        samples += len(x)
+        return _fn(params, arch, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "loss_and_grad", counted)
+    config = ExperimentConfig.from_dict(dict(
+        TINY, training=dict(TINY["training"], epochs=2),
+        strategies=[*STRATEGY_KINDS, {"kind": "ditto", "local_epochs_per_round": 2}]))
+    experiment.run_experiment(config, out_dir=tmp_path)
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert samples == train_samples([(r["strategy"], r["schedule"]) for r in results],
+                                    training_set_size(config))
+
+
+def test_workload_sample_pins_follow_the_strategy_schedules():
+    workloads = perfbench_module("workloads")
+    counted = {}
+    for name in workloads.WORKLOADS:
+        config = ExperimentConfig.from_dict(
+            workloads.experiment_doc(name, workloads.DEFAULT_SEED))
+        schedules = [(cfg.kind, cfg.schedule) for cfg in
+                     (strategy_config(e, config.training) for e in config.strategies)]
+        counted[name] = train_samples(schedules, training_set_size(config))
+    assert counted == {name: w["train_samples"] for name, w in workloads.WORKLOADS.items()}
+    assert sorted(counted.values()) == [2000, 30000, 130000]
