@@ -362,11 +362,17 @@ class SuiteConfig:
         if empty:
             raise ConfigError(f"suite grid lists no values for {', '.join(empty)}; "
                               f"the suite would run nothing")
-        names = [doc["name"] for doc in self.expand()]
+        docs = self.expand()
+        names = [doc["name"] for doc in docs]
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise ConfigError(f"suite grid repeats run {repeated[0]!r}; every grid "
                               f"point needs its own run name and directory")
+        for doc in docs:
+            try:
+                ExperimentConfig.from_dict(doc)
+            except ConfigError as exc:
+                raise ConfigError(f"suite run {doc['name']!r}: {exc}") from None
 
     @classmethod
     def from_file(cls, path) -> "SuiteConfig":

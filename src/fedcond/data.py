@@ -3,8 +3,9 @@
 Covers IDX-format image/label files (MNIST, Fashion-MNIST), a seeded
 Gaussian-cluster generator for fast synthetic tests, and a seeded procedural
 glyph-digit generator (28x28, 10 classes) used as a desk-scale stand-in when
-the real IDX files are not available locally. Pixels are always scaled to
-[0, 1] by dividing by 255; no mean/std standardization is applied.
+the real IDX files are not available locally, whose splits draw only the
+rows a partition asks for. Pixels are always scaled to [0, 1] by dividing by
+255; no mean/std standardization is applied.
 """
 
 from __future__ import annotations
@@ -60,13 +61,21 @@ class Dataset:
     def take(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.X[idx], self.y[idx], self.class_count, self.input_shape)
 
+    def rows(self, order: np.ndarray, out: np.ndarray) -> None:
+        """Write row k of `out` from row `order[k]` (repeats allowed)."""
+        if len(order) and (order.min() < 0 or order.max() >= len(self)):
+            raise IndexError(f"row indices must lie in [0, {len(self)})")
+        # mode="clip" writes straight into `out`; "raise" would buffer a copy
+        np.take(self.X, order, axis=0, out=out, mode="clip")
+
 
 @dataclass(frozen=True)
 class DatasetPair:
-    """Official train/test splits of one dataset."""
+    """Official train/test splits of one dataset. A split is a Dataset or a
+    GlyphSource; a partition reads either through `y`, `take` and `rows`."""
 
-    train: Dataset
-    test: Dataset
+    train: Dataset | GlyphSource
+    test: Dataset | GlyphSource
 
     def __post_init__(self):
         if self.train.class_count != self.test.class_count:
@@ -237,8 +246,9 @@ def per_class_indices(y: np.ndarray, class_count: int, cap: int,
     return np.concatenate(keep)
 
 
-def subsample_per_class(dataset: Dataset, cap: int, seed: int) -> Dataset:
-    """Keep at most `cap` samples per class, chosen uniformly at random."""
+def subsample_per_class(dataset, cap: int, seed: int):
+    """Keep at most `cap` samples per class, chosen uniformly at random, from
+    a Dataset (a copy) or a GlyphSource (composed indices, no pixels)."""
     return dataset.take(per_class_indices(dataset.y, dataset.class_count, cap, seed))
 
 
@@ -283,63 +293,98 @@ def _glyph_template(digit: int) -> np.ndarray:
     return img
 
 
-def synth_glyphs(n_per_class: int, seed: int, invert: bool = False) -> Dataset:
-    """Seeded 28x28 digit-glyph dataset with per-sample variability.
+class GlyphSource:
+    """A seeded 28x28 digit-glyph split whose pixels are drawn only when rows
+    are asked for, so no whole-split array need exist.
 
-    Each sample is a seven-segment digit with random translation (up to
-    +-4 px), random stroke intensity, occlusion blotches, and pixel noise, so
-    a pixel-space classifier genuinely needs many samples per class to cover
-    the variation. `invert=True` flips the contrast (white background), which
-    serves as a second visual domain for domain-shift experiments.
-
-    The random draws are made sample by sample in a fixed order (shift,
-    intensity, blotch count, each blotch's corner and value, noise); the
-    images are then built class by class in one vectorized pass.
+    The full split holds `n_per_class` samples of each digit, digit by digit.
+    Each is a seven-segment digit with random translation (up to +-4 px),
+    random stroke intensity, occlusion blotches and pixel noise, so a
+    pixel-space classifier genuinely needs many samples per class to cover
+    the variation. `invert=True` flips the contrast (white background), a
+    second visual domain for domain-shift experiments. `index` maps this
+    source's rows onto the full split (every row by default), so `take`
+    composes indices and copies no pixels.
     """
-    if n_per_class <= 0:
-        raise ValueError("n_per_class must be positive")
-    rng = np.random.default_rng(seed)
-    h, w = GLYPH_SHAPE
-    n = n_per_class
-    X = np.empty((10 * n, h * w))
-    y = np.repeat(np.arange(10, dtype=np.int64), n)
-    shifts = np.empty((n, 2), dtype=np.int64)
-    intensity = np.empty(n)
-    for digit in range(10):
-        rows = X[digit * n:(digit + 1) * n]
-        # occasional occluding blotches so single segments are unreliable
-        # cues, as (sample, row, col, value), kept in draw order
-        blotches = []
-        for i in range(n):
-            shifts[i] = rng.integers(-_GLYPH_MAX_SHIFT, _GLYPH_MAX_SHIFT + 1, size=2)
-            intensity[i] = rng.uniform(0.75, 1.0)
-            for _ in range(rng.integers(0, 3)):
-                br, bc = rng.integers(0, h - 3), rng.integers(0, w - 3)
-                blotches.append((i, br, bc, rng.uniform(0.0, 0.7)))
-            rows[i] = rng.normal(0.0, 0.06, size=h * w)
-        # np.roll by (dy, dx): pixel (r, c) comes from ((r - dy) % h, (c - dx) % w)
-        src_r = (np.arange(h) - shifts[:, :1]) % h
-        src_c = (np.arange(w) - shifts[:, 1:]) % w
-        imgs = _glyph_template(digit)[src_r[:, :, None], src_c[:, None, :]]
-        imgs *= intensity[:, None, None]
-        for i, br, bc, value in blotches:
-            imgs[i, br:br + 3, bc:bc + 3] = value
-        noise = rows.reshape(n, h, w)
-        np.add(imgs, noise, out=noise)
-        np.clip(noise, 0.0, 1.0, out=noise)
-        if invert:
-            np.subtract(1.0, noise, out=noise)
-    return Dataset(X, y, 10, GLYPH_SHAPE)
+
+    class_count = 10
+    input_shape = GLYPH_SHAPE
+
+    def __init__(self, n_per_class: int, seed: int, invert: bool = False,
+                 index: np.ndarray | None = None):
+        if n_per_class <= 0:
+            raise ValueError("n_per_class must be positive")
+        self.n_per_class, self.seed, self.invert = n_per_class, seed, invert
+        self.index = np.arange(10 * n_per_class) if index is None else index
+        self.y = self.index // n_per_class
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def take(self, idx: np.ndarray) -> "GlyphSource":
+        return GlyphSource(self.n_per_class, self.seed, self.invert, self.index[idx])
+
+    def rows(self, order: np.ndarray, out: np.ndarray) -> None:
+        """Write row k of `out` from row `order[k]` (repeats allowed).
+
+        The random draws are made sample by sample in a fixed order (shift,
+        intensity, blotch count, each blotch's corner and value, noise), so
+        every digit's samples are drawn whichever rows are asked for; the
+        images are then built digit by digit in one vectorized pass, and the
+        digit's selected rows copied out.
+        """
+        rng = np.random.default_rng(self.seed)
+        h, w = GLYPH_SHAPE
+        n = self.n_per_class
+        src = self.index[order]
+        rows = np.empty((n, h * w))
+        shifts = np.empty((n, 2), dtype=np.int64)
+        intensity = np.empty(n)
+        for digit in range(10):
+            # occasional occluding blotches so single segments are unreliable
+            # cues, as (sample, row, col, value), kept in draw order
+            blotches = []
+            for i in range(n):
+                shifts[i] = rng.integers(-_GLYPH_MAX_SHIFT, _GLYPH_MAX_SHIFT + 1, size=2)
+                intensity[i] = rng.uniform(0.75, 1.0)
+                for _ in range(rng.integers(0, 3)):
+                    br, bc = rng.integers(0, h - 3), rng.integers(0, w - 3)
+                    blotches.append((i, br, bc, rng.uniform(0.0, 0.7)))
+                rows[i] = rng.normal(0.0, 0.06, size=h * w)
+            # np.roll by (dy, dx): pixel (r, c) comes from ((r - dy) % h, (c - dx) % w)
+            src_r = (np.arange(h) - shifts[:, :1]) % h
+            src_c = (np.arange(w) - shifts[:, 1:]) % w
+            imgs = _glyph_template(digit)[src_r[:, :, None], src_c[:, None, :]]
+            imgs *= intensity[:, None, None]
+            for i, br, bc, value in blotches:
+                imgs[i, br:br + 3, bc:bc + 3] = value
+            noise = rows.reshape(n, h, w)
+            np.add(imgs, noise, out=noise)
+            np.clip(noise, 0.0, 1.0, out=noise)
+            if self.invert:
+                np.subtract(1.0, noise, out=noise)
+            sel = np.flatnonzero(src // n == digit)
+            out[sel] = rows[src[sel] - digit * n]
+
+    def dataset(self) -> Dataset:
+        """Every row of this source, drawn into a Dataset."""
+        X = np.empty((len(self), int(np.prod(GLYPH_SHAPE))))
+        self.rows(np.arange(len(self)), X)
+        return Dataset(X, self.y, self.class_count, GLYPH_SHAPE)
+
+
+def synth_glyphs(n_per_class: int, seed: int, invert: bool = False) -> Dataset:
+    """Seeded 28x28 digit-glyph dataset with per-sample variability: every
+    row of `GlyphSource(n_per_class, seed, invert)`."""
+    return GlyphSource(n_per_class, seed, invert).dataset()
 
 
 def glyph_pair(train_per_class: int, test_per_class: int, seed: int,
                invert: bool = False) -> DatasetPair:
-    """Train/test glyph splits from disjoint child seeds."""
+    """Train/test glyph sources from disjoint child seeds."""
     ss = np.random.SeedSequence([int(seed), 0x91f])
     s_train, s_test = ss.spawn(2)
     return DatasetPair(
-        train=synth_glyphs(train_per_class, int(s_train.generate_state(1)[0]),
-                           invert=invert),
-        test=synth_glyphs(test_per_class, int(s_test.generate_state(1)[0]),
-                          invert=invert),
+        train=GlyphSource(train_per_class, int(s_train.generate_state(1)[0]), invert),
+        test=GlyphSource(test_per_class, int(s_test.generate_state(1)[0]), invert),
     )

@@ -151,7 +151,7 @@ def _fingerprinted_shards(config: ExperimentConfig, timings: dict | None = None
         pair = load_dataset_pair(config.dataset, config.seed)
     with _stage("partition", timings):
         shards = build_partition(config, pair)
-        del pair  # every shard holds its own rows; no later stage reads the source
+        del pair  # the shards hold their rows in their own arrays; nothing reads the source
     with _stage("fingerprint", timings):
         fingerprints = fingerprint_all(shards, shards[0].train.class_count,
                                        l=config.stats.l)

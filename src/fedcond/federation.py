@@ -1,8 +1,8 @@
 """Training strategies and per-client evaluation. All eight strategies train
 in one round loop, `_run_rounds` (passes over each training set, then a mix
 that only the strategy defines). Conditional and Oracle are pooled: one
-training set stacked from the clients (per cluster for Oracle) with the
-identity mix.
+training set of the clients' rows (per cluster for Oracle) with the identity
+mix, a view of the partition's split since their rows are consecutive in it.
 
 Seeding conventions (all deliberate, so the degeneracy identities hold
 bit-exactly): every strategy initializes parameters from the run seed, and
@@ -61,11 +61,25 @@ def mean_shard_loss(params: ModelParams, arch: Architecture, shard: ClientShard)
     return mean_cross_entropy(forward(params, arch, shard.train.X), shard.train.y)
 
 
+def _span(parts: list[np.ndarray]) -> np.ndarray:
+    """`parts` stacked: the view of their common base that spans them when
+    they are consecutive row slices of it, else a stacked copy."""
+    base = parts[0].base
+    if base is not None and base.flags.c_contiguous and all(
+            p.base is base and p.flags.c_contiguous and p.dtype == base.dtype
+            and p.shape[1:] == base.shape[1:] for p in parts):
+        starts = [p.__array_interface__["data"][0] for p in parts]
+        row, rem = divmod(starts[0] - base.__array_interface__["data"][0], base.strides[0])
+        if rem == 0 and all(a + p.nbytes == b for a, p, b in zip(starts, parts, starts[1:])):
+            return base[row:row + sum(map(len, parts))]
+    return np.concatenate(parts)
+
+
 def _pooled(shards: list[ClientShard]) -> Dataset:
-    """The clients' training sets stacked in client order."""
+    """The clients' training sets stacked in client order; a view, with no
+    copy, of the split that `build_partition` cut them from in client order."""
     first = shards[0].train
-    return Dataset(np.vstack([s.train.X for s in shards]),
-                   np.concatenate([s.train.y for s in shards]),
+    return Dataset(_span([s.train.X for s in shards]), _span([s.train.y for s in shards]),
                    first.class_count, first.input_shape)
 
 
@@ -176,7 +190,8 @@ def train_conditional(shards: list[ClientShard], arch: Architecture,
     if len(lengths) != 1:
         raise ValueError(f"clients' fingerprint lengths differ: {lengths}")
     arch = replace(arch, stats_dim=lengths[0])
-    stats_rows = np.vstack([np.tile(s.stats, (len(s.train), 1)) for s in shards])
+    stats_rows = np.repeat(np.stack([s.stats for s in shards]),
+                           [len(s.train) for s in shards], axis=0)
     (params,), records = _run_rounds([_pooled(shards)], arch, opt, cfg, seed,
                                       lambda block, lr: None, stats_rows=[stats_rows])
     return TrainedOutcome("conditional", arch, {s.client_id: params for s in shards},

@@ -15,11 +15,16 @@ both through the same transform, so each client is evaluated on data matching
 its own distribution. Within a cluster, samples are shuffled with a child seed
 derived from (seed, cluster_id) and dealt round-robin, giving equal shard
 sizes up to one sample. Clusters are index arrays into the source, never
-copies of it: each shard is gathered from the source exactly once.
+copies of it. Each split is written once: one `rows` call per source fills
+one array in client order, and every shard is a read-only row slice of it,
+so a pooled set of consecutive clients is a view too. A source row may be
+written more than once, as E4b gives each covariate set's rows to both
+concept groups.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +129,8 @@ def _deal(n: int, clients: int, rng: np.random.Generator) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class _Cluster:
-    """One cluster as row indices into a source pair. Each client shard is
-    gathered from the source once, at its composed indices, then rotated by
-    `angle` and relabeled by `rule`."""
+    """One cluster as row indices into a source pair, its clients' rows
+    rotated by `angle` and relabeled by `rule`."""
 
     source: DatasetPair
     train_idx: np.ndarray
@@ -135,33 +139,47 @@ class _Cluster:
     angle: int = 0
 
 
-def _gather(ds: Dataset, idx: np.ndarray, rule: LabelRule | None,
-            angle: int) -> Dataset:
-    X, y = ds.X[idx], ds.y[idx]
-    if angle:
-        X = rotate_rows(X, ds.input_shape, angle)
-    if rule is None:
-        return Dataset(X, y, ds.class_count, ds.input_shape)
-    return Dataset(X, rule.apply(y), rule.arity, ds.input_shape)
-
-
 def _assemble(clusters: list[_Cluster], clients_per_cluster: int,
               seed: int) -> list[ClientShard]:
     """Deal each cluster's rows round-robin to its clients; cluster k's
     clients get ids k*clients_per_cluster onward."""
-    shards = []
+    train_hands, test_hands = [], []
     for cid, c in enumerate(clusters):
         rng = _cluster_rng(seed, cid)
-        train_hands = _deal(len(c.train_idx), clients_per_cluster, rng)
-        test_hands = _deal(len(c.test_idx), clients_per_cluster, rng)
-        for j in range(clients_per_cluster):
-            shards.append(ClientShard(
-                client_id=cid * clients_per_cluster + j,
-                cluster_id=cid,
-                train=_gather(c.source.train, c.train_idx[train_hands[j]], c.rule, c.angle),
-                test=_gather(c.source.test, c.test_idx[test_hands[j]], c.rule, c.angle),
-            ))
-    return shards
+        train_hands += [c.train_idx[h] for h in _deal(len(c.train_idx), clients_per_cluster, rng)]
+        test_hands += [c.test_idx[h] for h in _deal(len(c.test_idx), clients_per_cluster, rng)]
+    owners = [c for c in clusters for _ in range(clients_per_cluster)]
+    trains = _write_split([c.source.train for c in owners], train_hands, owners)
+    tests = _write_split([c.source.test for c in owners], test_hands, owners)
+    return [ClientShard(client_id=i, cluster_id=i // clients_per_cluster, train=tr, test=te)
+            for i, (tr, te) in enumerate(zip(trains, tests))]
+
+
+def _write_split(sources: list, hands: list[np.ndarray],
+                 owners: list[_Cluster]) -> list[Dataset]:
+    """One split of every client, client i holding rows `hands[i]` of
+    `sources[i]`: written once, in client order, into one array that the
+    returned sets are read-only row slices of. Consecutive clients that draw
+    on one source are written by one `rows` call."""
+    bounds = np.cumsum([0] + [len(h) for h in hands])
+    X = np.empty((bounds[-1], int(np.prod(sources[0].input_shape))))
+    y = np.empty(bounds[-1], dtype=np.int64)
+    first = 0
+    for _, run in itertools.groupby(range(len(hands)), key=lambda i: id(sources[i])):
+        last = list(run)[-1] + 1
+        source, order = sources[first], np.concatenate(hands[first:last])
+        source.rows(order, X[bounds[first]:bounds[last]])
+        y[bounds[first]:bounds[last]] = source.y[order]
+        first = last
+    clients = list(zip(sources, owners, bounds, bounds[1:]))
+    for source, c, a, b in clients:
+        if c.angle:
+            X[a:b] = rotate_rows(X[a:b], source.input_shape, c.angle)
+        if c.rule is not None:
+            y[a:b] = c.rule.apply(y[a:b])
+    X.flags.writeable = y.flags.writeable = False  # before slicing: views inherit it
+    return [Dataset(X[a:b], y[a:b], c.rule.arity if c.rule else source.class_count,
+                    source.input_shape) for source, c, a, b in clients]
 
 
 def _seeded_split(data: DatasetPair, K: int, seed: int,

@@ -237,7 +237,7 @@ def test_glyphs_bit_identical_to_per_sample_reference(n_per_class, invert):
 def test_glyph_pair_train_test_disjoint_seeds():
     pair = data.glyph_pair(10, 5, seed=2)
     assert len(pair.train) == 100 and len(pair.test) == 50
-    assert not np.array_equal(pair.train.X[:50], pair.test.X)
+    assert not np.array_equal(pair.train.dataset().X[:50], pair.test.dataset().X)
 
 
 # ------------------------------------------------------------------ utilities
@@ -252,3 +252,16 @@ def test_subsample_per_class_caps_counts():
 def test_dataset_rejects_bad_labels():
     with pytest.raises(ValueError):
         data.Dataset(np.zeros((2, 4)), np.array([0, 5]), 2, (4,))
+
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_dataset_rows_rejects_an_index_outside_the_split(bad):
+    """`Dataset.rows` raises for a row index outside the split rather than
+    writing a clamped row, and otherwise writes the rows asked for."""
+    ds = data.Dataset(np.arange(12.0).reshape(3, 4), np.array([0, 1, 0]), 2, (4,))
+    out = np.zeros((2, 4))
+    with pytest.raises(IndexError):
+        ds.rows(np.array([0, bad]), out)
+    ds.rows(np.array([2, 0]), out)
+    assert out.tolist() == [[8.0, 9.0, 10.0, 11.0], [0.0, 1.0, 2.0, 3.0]]

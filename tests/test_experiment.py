@@ -242,13 +242,61 @@ def test_source_pair_is_released_before_training(monkeypatch, tmp_path):
     assert alive_at_train == [False]
 
 
+def test_pooled_run_holds_the_client_rows_once(tmp_path):
+    """A glyph E1 run of conditional and Oracle, traced from its first
+    allocation, peaks under its shards' bytes plus an allowance for the rest:
+    the largest client's fingerprint workspace (three copies of its rows
+    with their one-hot labels) and 1 MiB of model state, batches and
+    activations. Neither the source split nor a pooled copy lives beside the
+    shards."""
+    config = tiny_config(
+        dataset={"kind": "glyphs", "train_per_class": 200, "test_per_class": 50,
+                 "per_class_cap": None},
+        heterogeneity={"family": "E1", "K": 2, "clients_per_cluster": 5},
+        training={"architecture": "mlp", "hidden_dim": 16, "epochs": 1},
+        strategies=["conditional", "oracle"])
+    shards = build_partition(config, load_dataset_pair(config.dataset, config.seed))
+    shard_bytes = sum(d.X.nbytes + d.y.nbytes for s in shards for d in (s.train, s.test))
+    workspace = 3 * max(len(s.train) for s in shards) * (shards[0].train.X.shape[1] + 10) * 8
+    del shards
+    tracemalloc.start()
+    try:
+        run_experiment(config, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= shard_bytes + workspace + 2**20, (peak / 2**20, shard_bytes / 2**20)
+
+
+def test_a_cap_that_keeps_every_row_copies_nothing():
+    """The default cap of 1000 per class keeps every row of a 300/100 glyph
+    pair: the capped pair holds the same rows as the uncapped one, and
+    loading it allocates no more."""
+    pairs, peaks = {}, {}
+    load_dataset_pair(DatasetSpec(kind="glyphs", train_per_class=1, test_per_class=1),
+                      seed=4)  # first-call allocations
+    for cap in (1000, None):
+        spec = DatasetSpec(kind="glyphs", train_per_class=300, test_per_class=100,
+                           per_class_cap=cap)
+        tracemalloc.start()
+        try:
+            pairs[cap] = load_dataset_pair(spec, seed=4)
+            peaks[cap] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] <= peaks[None] + 2**20, peaks
+    for split in ("train", "test"):
+        got, want = (getattr(pairs[cap], split).dataset() for cap in (1000, None))
+        assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+
+
 def test_idx_cap_converts_only_the_kept_rows(tmp_path):
     """An IDX pair capped per class equals the whole pair converted, then
     subsampled with the same seeds, and peaks near the bytes it keeps."""
     source = glyph_pair(400, 100, seed=5)
     for split, (images, labels) in zip((source.train, source.test),
                                        (MNIST_FILES[:2], MNIST_FILES[2:])):
-        write_idx(split, tmp_path / images, tmp_path / labels)
+        write_idx(split.dataset(), tmp_path / images, tmp_path / labels)
     spec = DatasetSpec(kind="idx", name="idx", root=str(tmp_path), per_class_cap=50)
     tracemalloc.start()
     try:
@@ -683,10 +731,12 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
     ({"base": {"heterogeneity": {"K": 2}}, "grid": {"heterogeneity.K.x": [2]}},
      "suite grid path 'heterogeneity.K.x' runs through 'heterogeneity.K', which is 2, "
      "not an object"),
+    ({"grid": {"training.epoch": [1, 2]}},
+     "suite run 's_epoch=1': unknown TrainingSpec keys: ['epoch']"),
 ], ids=["grid-scalar", "grid-list", "grid-string", "seed-str", "seed-bool",
         "base-list", "document-number", "grid-empty-list", "grid-repeated-value",
         "grid-same-label", "grid-path-through-number",
-        "grid-path-through-nested-number"])
+        "grid-path-through-nested-number", "grid-key-names-no-field"])
 def test_cli_suite_rejects_malformed_document(tmp_path, override, message):
     # a dict is merged into a valid suite document; anything else replaces it
     doc = (dict(suite_doc({"heterogeneity.K": [2]}), **override)

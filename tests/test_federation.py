@@ -129,6 +129,33 @@ def test_oracle_k1_equals_centralized_equals_single_client_fedavg():
     assert dist(fa.client_params[0], central) == 0.0
 
 
+def test_pooled_sets_of_a_partition_are_views_of_its_training_split():
+    pair = DatasetPair(train=synth_glyphs(20, seed=1), test=synth_glyphs(5, seed=2))
+    shards = partition_label_shift(pair, 2, 3, seed=4)
+    for members in [shards] + [[s for s in shards if s.cluster_id == k] for k in (0, 1)]:
+        pooled = fed._pooled(members)
+        assert all(np.shares_memory(pooled.X, s.train.X) and
+                   np.shares_memory(pooled.y, s.train.y) for s in members)
+        assert len(pooled) == sum(len(s.train) for s in members)
+        assert np.array_equal(pooled.X, np.vstack([s.train.X for s in members]))
+        assert np.array_equal(pooled.y, np.concatenate([s.train.y for s in members]))
+
+
+def test_pooled_sets_of_other_shards_are_stacked_copies():
+    shards = gaussian_shards()
+    partitioned = partition_label_shift(
+        DatasetPair(train=synth_glyphs(20, seed=1), test=synth_glyphs(5, seed=2)), 2, 3, seed=4)
+    for one in (shards[0], partitioned[0]):
+        twin = [ClientShard(0, 0, one.train, one.test), ClientShard(1, 0, one.train, one.test)]
+        pooled = fed._pooled(twin)
+        assert not np.shares_memory(pooled.X, one.train.X)
+        assert np.array_equal(pooled.X, np.vstack([one.train.X] * 2))
+        assert np.array_equal(np.signbit(pooled.X), np.signbit(np.vstack([one.train.X] * 2)))
+        assert np.array_equal(pooled.y, np.concatenate([one.train.y] * 2))
+    skipping = [partitioned[0], partitioned[2]]
+    assert np.array_equal(fed._pooled(skipping).X, np.vstack([s.train.X for s in skipping]))
+
+
 def test_two_identical_clients_train_identical_local_models():
     shards = gaussian_shards()
     twin = [ClientShard(0, 0, shards[0].train, shards[0].test),

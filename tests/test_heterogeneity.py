@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedcond import heterogeneity as het
-from fedcond.data import Dataset, DatasetPair, synth_glyphs
+from fedcond.data import Dataset, DatasetPair, GlyphSource, subsample_per_class, synth_glyphs
 
 
 def tiny_pair(train_per_class=30, test_per_class=10, seed=0) -> DatasetPair:
@@ -260,7 +260,7 @@ def test_cluster_child_seeds_differ_by_cluster():
     assert a != b
 
 
-# ------------------------------------------- one gather per shard: oracle
+# ------------------------------------------- one write per split: oracle
 
 def _reference_restrict(ds, classes):
     return ds.take(np.flatnonzero(np.isin(ds.y, classes)))
@@ -297,51 +297,80 @@ def _relabeled(ds, rule):
     return Dataset(ds.X, rule.apply(ds.y), rule.arity, ds.input_shape)
 
 
-def _family_cases(pair, other):
-    """(name, shards from the generator, reference clusters, cpc, seed,
+def _family_cases(pair, other, ref, ref_other):
+    """(name, shards the generator cuts from `pair` and `other`, reference
+    clusters from their eager twins `ref` and `ref_other`, cpc, seed,
     covariate cluster count or None) for every family."""
     cases = []
     blocks = het.class_blocks(10, 3)
     cases.append(("E1", het.partition_label_shift(pair, 3, 4, seed=1),
-                  [(_reference_restrict(pair.train, b), _reference_restrict(pair.test, b))
+                  [(_reference_restrict(ref.train, b), _reference_restrict(ref.test, b))
                    for b in blocks], 4, 1, None))
     sets, parity = [[0, 1, 8, 9], [2, 3, 4, 5]], het.parity_rule(10)
     cases.append(("E2a", het.partition_covariate_subclass(pair, parity, sets, 3, seed=2),
-                  [(_relabeled(_reference_restrict(pair.train, s), parity),
-                    _relabeled(_reference_restrict(pair.test, s), parity)) for s in sets],
+                  [(_relabeled(_reference_restrict(ref.train, s), parity),
+                    _relabeled(_reference_restrict(ref.test, s), parity)) for s in sets],
                   3, 2, None))
-    tr_splits, te_splits = _reference_split(pair, 4, 0xE2B, 3)
+    tr_splits, te_splits = _reference_split(ref, 4, 0xE2B, 3)
     cases.append(("E2b", het.partition_covariate_rotation(pair, 4, 3, seed=3),
-                  [(_reference_rotate(pair.train.take(tr_splits[k]), het.ROTATION_ORDER[k]),
-                    _reference_rotate(pair.test.take(te_splits[k]), het.ROTATION_ORDER[k]))
+                  [(_reference_rotate(ref.train.take(tr_splits[k]), het.ROTATION_ORDER[k]),
+                    _reference_rotate(ref.test.take(te_splits[k]), het.ROTATION_ORDER[k]))
                    for k in range(4)], 3, 3, None))
     rules = [het.parity_rule(10), het.threshold_rule(10, 5)]
-    tr_splits, te_splits = _reference_split(pair, 2, 0xE3A, 4)
+    tr_splits, te_splits = _reference_split(ref, 2, 0xE3A, 4)
     cases.append(("E3a", het.partition_concept_semantic(pair, rules, 3, seed=4),
-                  [(_relabeled(pair.train.take(tr_splits[k]), r),
-                    _relabeled(pair.test.take(te_splits[k]), r))
+                  [(_relabeled(ref.train.take(tr_splits[k]), r),
+                    _relabeled(ref.test.take(te_splits[k]), r))
                    for k, r in enumerate(rules)], 3, 4, None))
     perms = [het.identity_rule(10)] + het.sample_derangements(10, 2, seed=5)
-    tr_splits, te_splits = _reference_split(pair, 3, 0xE3A, 5)
+    tr_splits, te_splits = _reference_split(ref, 3, 0xE3A, 5)
     cases.append(("E3b", het.partition_concept_permutation(pair, 3, 2, seed=5),
-                  [(_relabeled(pair.train.take(tr_splits[k]), r),
-                    _relabeled(pair.test.take(te_splits[k]), r))
+                  [(_relabeled(ref.train.take(tr_splits[k]), r),
+                    _relabeled(ref.test.take(te_splits[k]), r))
                    for k, r in enumerate(perms)], 2, 5, None))
     cases.append(("E4a", het.partition_domain_shift(pair, other, 3, seed=6),
-                  [(pair.train, pair.test), (other.train, other.test)], 3, 6, None))
+                  [(ref.train, ref.test), (ref_other.train, ref_other.test)], 3, 6, None))
     covs = het.paired_covariate_sets(10, 3)
+    # both concept groups hold every row of a covariate set: repeated rows
     cases.append(("E4b", het.partition_combined(pair, rules, covs, 2, seed=7),
-                  [(_relabeled(_reference_restrict(pair.train, c), r),
-                    _relabeled(_reference_restrict(pair.test, c), r))
+                  [(_relabeled(_reference_restrict(ref.train, c), r),
+                    _relabeled(_reference_restrict(ref.test, c), r))
                    for r in rules for c in covs], 2, 7, 3))
     return cases
 
 
+def _pairs(kind):
+    """A pair and a second, inverted domain of one kind of split, with their
+    eager twins: eager Datasets (their own twins), glyph sources, and glyph
+    sources whose per-class cap drops rows."""
+    if kind == "eager":
+        pair = tiny_pair()
+        other = DatasetPair(train=synth_glyphs(30, seed=5, invert=True),
+                            test=synth_glyphs(10, seed=6, invert=True))
+        return pair, other, pair, other
+    pair = DatasetPair(train=GlyphSource(30, 0), test=GlyphSource(10, 1))
+    other = DatasetPair(train=GlyphSource(30, 5, invert=True),
+                        test=GlyphSource(10, 6, invert=True))
+    if kind == "capped-glyph-source":
+        pair, other = (DatasetPair(train=subsample_per_class(p.train, 24, 8),
+                                   test=subsample_per_class(p.test, 7, 9))
+                       for p in (pair, other))
+        assert (len(pair.train), len(pair.test)) == (240, 70)
+    return pair, other, *(DatasetPair(train=p.train.dataset(), test=p.test.dataset())
+                          for p in (pair, other))
+
+
 def test_every_family_matches_two_stage_reference():
-    pair = tiny_pair()
-    other = DatasetPair(train=synth_glyphs(30, seed=5, invert=True),
-                        test=synth_glyphs(10, seed=6, invert=True))
-    for name, shards, clusters, cpc, seed, C in _family_cases(pair, other):
+    _check_every_family("eager")
+
+
+@pytest.mark.parametrize("kind", ["glyph-source", "capped-glyph-source"])
+def test_every_family_matches_two_stage_reference_on_glyph_sources(kind):
+    _check_every_family(kind)
+
+
+def _check_every_family(kind):
+    for name, shards, clusters, cpc, seed, C in _family_cases(*_pairs(kind)):
         expected = reference_partition(clusters, cpc, seed)
         assert len(shards) == len(expected), name
         for s, (client, cluster, tr, te) in zip(shards, expected):
@@ -357,7 +386,31 @@ def test_every_family_matches_two_stage_reference():
                 assert got.input_shape == want.input_shape, name
 
 
-# ------------------------------------------- one gather per shard: memory
+def test_capped_glyph_source_draws_the_rows_the_eager_cap_keeps():
+    source = GlyphSource(30, 4, invert=True)
+    capped = subsample_per_class(source, 11, seed=3)
+    want = subsample_per_class(source.dataset(), 11, seed=3)
+    got = capped.dataset()
+    assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+    assert np.array_equal(np.signbit(got.X), np.signbit(want.X))
+
+
+def test_shards_are_read_only_row_slices_of_one_array_per_split():
+    pair = tiny_pair()
+    shards = het.partition_label_shift(pair, 2, 3, seed=1)
+    for split in ("train", "test"):
+        sets = [getattr(s, split) for s in shards]
+        X, y = sets[0].X.base, sets[0].y.base
+        assert all(d.X.base is X and d.y.base is y for d in sets)
+        assert len(X) == len(y) == sum(len(d) for d in sets) == len(getattr(pair, split))
+    for d in (shards[0].train, shards[-1].test):
+        with pytest.raises(ValueError, match="read-only"):
+            d.X[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            d.y[0] = 0
+
+
+# ------------------------------------------- one write per split: memory
 
 @pytest.mark.parametrize("heterogeneity", [
     {"family": "E1", "K": 2, "clients_per_cluster": 5},

@@ -11,7 +11,10 @@ import ast
 import importlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from fedcond import experiment, nn
 from fedcond.config import STRATEGY_KINDS, ExperimentConfig, strategy_config
@@ -126,14 +129,45 @@ def test_loss_and_grad_sees_every_pass_of_every_schedule(monkeypatch, tmp_path):
                                     training_set_size(config))
 
 
-def test_workload_sample_pins_follow_the_strategy_schedules():
+@pytest.fixture(scope="module")
+def workload_setups() -> dict:
+    """Each bench workload's config, the training-set size and the shard
+    bytes of its partition, and the traced peak of the set-up sequence that
+    `perfbench/rep.py` runs (dataset pair, partition, architectures)."""
     workloads = perfbench_module("workloads")
-    counted = {}
+    setups = {}
     for name in workloads.WORKLOADS:
         config = ExperimentConfig.from_dict(
             workloads.experiment_doc(name, workloads.DEFAULT_SEED))
+        tracemalloc.start()
+        try:
+            pair = experiment.load_dataset_pair(config.dataset, config.seed)
+            shards = experiment.build_partition(config, pair)
+            experiment.build_architectures(config, shards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        shard_bytes = sum(d.X.nbytes + d.y.nbytes for s in shards for d in (s.train, s.test))
+        setups[name] = (config, sum(len(s.train) for s in shards), shard_bytes, peak)
+        del pair, shards
+    return setups
+
+
+def test_workload_sample_pins_follow_the_strategy_schedules(workload_setups):
+    workloads = perfbench_module("workloads")
+    counted = {}
+    for name, (config, n_train, _, _) in workload_setups.items():
         schedules = [(cfg.kind, cfg.schedule) for cfg in
                      (strategy_config(e, config.training) for e in config.strategies)]
-        counted[name] = train_samples(schedules, training_set_size(config))
+        counted[name] = train_samples(schedules, n_train)
     assert counted == {name: w["train_samples"] for name, w in workloads.WORKLOADS.items()}
     assert sorted(counted.values()) == [2000, 30000, 130000]
+
+
+def test_workload_setup_holds_the_client_rows_about_once(workload_setups):
+    """The set-up stages write each split once, into the arrays the shards
+    are views of: no source split or gathered copy lives beside them."""
+    ratios = {name: round(peak / shard_bytes, 3)
+              for name, (_, _, shard_bytes, peak) in workload_setups.items()}
+    assert len(ratios) == 3
+    assert all(r <= 1.3 for r in ratios.values()), ratios
