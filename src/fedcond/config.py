@@ -16,14 +16,15 @@ from numbers import Integral, Real
 from pathlib import Path
 
 from .data import MNIST_FILES
-from .heterogeneity import NAMED_RULES, SPARSITY_LEVELS
+from .heterogeneity import FAMILIES, NAMED_RULES, SPARSITY_LEVELS
 from .nn import ARCHITECTURE_KINDS
 
 DATA_ROOT_ENV = "FEDCOND_DATA_ROOT"
 
-DATASET_KINDS = ("idx", "glyphs", "synthetic")
+# the DatasetSpec fields each kind reads besides `kind`, `name` and `per_class_cap`
+DATASET_KEYS = {"idx": ("root",), "glyphs": ("train_per_class", "test_per_class", "invert"),
+                "synthetic": ("train_per_class", "test_per_class")}
 LR_SCHEDULES = ("constant", "cosine")
-FAMILIES = ("E1", "E2a", "E2b", "E3a", "E3b", "E4a", "E4b")
 
 
 class ConfigError(ValueError):
@@ -39,6 +40,27 @@ _SCALAR_TYPES = {
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
+
+
+def check_unread_keys(spec, reads: tuple[str, ...], what: str) -> None:
+    """Raise ConfigError naming the fields of `spec` outside `reads` that are
+    off their default (not merely present: a `to_dict` echo lists them all)."""
+    default = type(spec)()
+    unread = [f.name for f in fields(spec) if f.name not in reads
+              and getattr(spec, f.name) != getattr(default, f.name)]
+    if unread:
+        raise ConfigError(f"{what} does not read keys: {unread}")
+
+
+def read_json(path):
+    """The JSON document in the file at `path`, else ConfigError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ConfigError(f"config {str(path)!r} is not JSON: {exc}") from None
 
 
 def check_field_types(obj, where: str = "") -> None:
@@ -75,8 +97,10 @@ class DatasetSpec:
         return Path(root)
 
     def validate(self):
-        if self.kind not in DATASET_KINDS:
+        if self.kind not in DATASET_KEYS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
+        check_unread_keys(self, ("kind", "name", "per_class_cap", *DATASET_KEYS[self.kind]),
+                          f"dataset kind {self.kind!r}")
         if self.kind == "idx":
             root = self.resolved_root()
             for fname in MNIST_FILES:
@@ -95,16 +119,23 @@ class HeterogeneitySpec:
     K: int = 2
     clients_per_cluster: int = 5
     sparsity: str | None = None           # named level; overrides clients_per_cluster
-    superclass: str = "parity"            # E2a
-    rules: list[str] = field(default_factory=lambda: ["parity", "threshold5"])  # E3a/E4b
-    covariate_clusters: int = 2           # E4b
-    dataset_b: DatasetSpec | None = None  # E4a
+    # the keys below are read only by the families that `FAMILIES` lists them for
+    superclass: str = "parity"
+    rules: list[str] = field(default_factory=lambda: ["parity", "threshold5"])
+    covariate_clusters: int = 2
+    dataset_b: DatasetSpec | None = None
 
     def validate(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
+        check_unread_keys(self, ("family", "clients_per_cluster", "sparsity",
+                                 *FAMILIES[self.family].keys),
+                          f"family {self.family!r}")
         if self.K < 1:
             raise ConfigError(f"heterogeneity.K must be >= 1, got {self.K}")
+        if not isinstance(self.rules, list):
+            raise ConfigError(f"heterogeneity.rules must be a list of rule names, "
+                              f"got {self.rules!r}")
         for rule in [*self.rules, self.superclass]:
             if not isinstance(rule, str) or rule not in NAMED_RULES:
                 raise ConfigError(f"heterogeneity: unknown label rule {rule!r}; "
@@ -332,8 +363,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json(path))
 
 
 @dataclass
@@ -376,8 +406,7 @@ class SuiteConfig:
 
     @classmethod
     def from_file(cls, path) -> "SuiteConfig":
-        with open(path) as f:
-            doc = json.load(f)
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ConfigError("a suite config must be a JSON object")
         for key in ("base", "grid"):

@@ -24,13 +24,9 @@ from .data import (Dataset, DatasetPair, GaussianClusterSpec, glyph_pair,
                    load_mnist_like, subsample_per_class, synth_clusters)
 from .federation import (OptimizerState, TrainedOutcome, child_seed, evaluate,
                          run_strategy)
-from .heterogeneity import (ClientShard, class_blocks, paired_covariate_sets,
-                            partition_combined, partition_concept_permutation,
-                            partition_concept_semantic, partition_covariate_rotation,
-                            partition_covariate_subclass, partition_domain_shift,
-                            partition_label_shift, rule_from_name)
+from .heterogeneity import FAMILIES, ClientShard
 from .metrics import compute_ari
-from .nn import Architecture, cnn_architecture, mlp_architecture
+from .nn import Architecture, mlp_architecture
 from .report import (PROVENANCE, RunReport, StrategyResult, aggregate_reports,
                      build_identifier, emit_report, thread_env)
 from .stats import fingerprint_all
@@ -104,32 +100,16 @@ def _synthetic_blob_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
 
 def build_partition(config: ExperimentConfig,
                     pair: DatasetPair) -> list[ClientShard]:
+    """The client shards of `pair` under the config's family: the family's
+    `FAMILIES` call with the spec keys it reads, `dataset_b` loaded first."""
     het = config.heterogeneity
-    cpc = het.effective_clients_per_cluster()
-    seed = config.seed
-    C = pair.train.class_count
-    family = het.family
-    if family == "E1":
-        return partition_label_shift(pair, het.K, cpc, seed)
-    if family == "E2a":
-        superclass = rule_from_name(het.superclass, C)
-        return partition_covariate_subclass(pair, superclass, class_blocks(C, het.K),
-                                            cpc, seed)
-    if family == "E2b":
-        return partition_covariate_rotation(pair, het.K, cpc, seed)
-    if family == "E3a":
-        rules = [rule_from_name(r, C) for r in het.rules]
-        return partition_concept_semantic(pair, rules, cpc, seed)
-    if family == "E3b":
-        return partition_concept_permutation(pair, het.K, cpc, seed)
-    if family == "E4a":
-        pair_b = load_dataset_pair(het.dataset_b, child_seed(seed, 0xB))
-        return partition_domain_shift(pair, pair_b, cpc, seed)
-    if family == "E4b":
-        rules = [rule_from_name(r, C) for r in het.rules]
-        sets = paired_covariate_sets(C, het.covariate_clusters)
-        return partition_combined(pair, rules, sets, cpc, seed)
-    raise ConfigError(f"unknown family {family!r}")
+    family = FAMILIES[het.family]
+    values = {key: getattr(het, key) for key in family.keys}
+    if "dataset_b" in values:
+        values["dataset_b"] = load_dataset_pair(het.dataset_b,
+                                                child_seed(config.seed, 0xB))
+    return family.partition(pair, het.effective_clients_per_cluster(), config.seed,
+                            **values)
 
 
 def build_architectures(config: ExperimentConfig,
@@ -138,8 +118,9 @@ def build_architectures(config: ExperimentConfig,
     gets; a conditional strategy widens it by the fingerprint length."""
     class_count = shards[0].train.class_count
     tr = config.training
-    if tr.architecture == "mnist_cnn":
-        return cnn_architecture(class_count, tr.hidden_dim)
+    if tr.architecture == "mnist_cnn":  # one channel of the data's image shape
+        return Architecture("mnist_cnn", (1, *shards[0].train.input_shape),
+                            class_count, tr.hidden_dim)
     return mlp_architecture(shards[0].train.X.shape[1], class_count, tr.hidden_dim)
 
 

@@ -20,12 +20,18 @@ one array in client order, and every shard is a read-only row slice of it,
 so a pooled set of consecutive clients is a view too. A source row may be
 written more than once, as E4b gives each covariate set's rows to both
 concept groups.
+
+`FAMILIES` maps each family to the `HeterogeneitySpec` keys it reads and the
+generator call they feed; config validation and `experiment.build_partition`
+both read it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,12 +111,6 @@ NAMED_RULES = {
     "antiparity": antiparity_rule,
     "threshold5": lambda c: threshold_rule(c, 5),
 }
-
-
-def rule_from_name(name: str, class_count: int) -> LabelRule:
-    if name not in NAMED_RULES:
-        raise ValueError(f"unknown label rule {name!r}; known: {sorted(NAMED_RULES)}")
-    return NAMED_RULES[name](class_count)
 
 
 # --------------------------------------------------------------------------
@@ -355,3 +355,33 @@ def paired_covariate_sets(class_count: int, C: int) -> list[list[int]]:
     if not 2 <= C <= len(pairs):
         raise ValueError(f"C must be in [2, {len(pairs)}]")
     return [sorted(v for p in chunk for v in p) for chunk in _contiguous_chunks(pairs, C)]
+
+
+class Family(NamedTuple):
+    """The `HeterogeneitySpec` keys a family reads besides `clients_per_cluster`
+    and `sparsity`, and `partition(data, clients_per_cluster, seed, **values)`
+    given their values (rule names; `dataset_b` as its loaded pair)."""
+
+    keys: tuple[str, ...]
+    partition: Callable[..., list[ClientShard]]
+
+
+def _rules(names: list[str], data: DatasetPair) -> list[LabelRule]:
+    return [NAMED_RULES[name](data.train.class_count) for name in names]
+
+
+FAMILIES = {
+    "E1": Family(("K",), lambda d, cpc, seed, K: partition_label_shift(d, K, cpc, seed)),
+    "E2a": Family(("K", "superclass"), lambda d, cpc, seed, K, superclass:
+                  partition_covariate_subclass(d, *_rules([superclass], d),
+                                               class_blocks(d.train.class_count, K), cpc, seed)),
+    "E2b": Family(("K",), lambda d, cpc, seed, K: partition_covariate_rotation(d, K, cpc, seed)),
+    "E3a": Family(("rules",), lambda d, cpc, seed, rules:
+                  partition_concept_semantic(d, _rules(rules, d), cpc, seed)),
+    "E3b": Family(("K",), lambda d, cpc, seed, K: partition_concept_permutation(d, K, cpc, seed)),
+    "E4a": Family(("dataset_b",), lambda d, cpc, seed, dataset_b:
+                  partition_domain_shift(d, dataset_b, cpc, seed)),
+    "E4b": Family(("rules", "covariate_clusters"), lambda d, cpc, seed, rules, covariate_clusters:
+                  partition_combined(d, _rules(rules, d), paired_covariate_sets(
+                      d.train.class_count, covariate_clusters), cpc, seed)),
+}

@@ -26,6 +26,7 @@ from fedcond.experiment import (StageError, build_partition, fingerprint_only,
                                 load_dataset_pair, reaggregate, run_experiment,
                                 run_suite)
 from fedcond.federation import child_seed
+from fedcond.heterogeneity import FAMILIES
 from fedcond.report import (THREAD_ENV_VARS, RunReport, build_identifier, emit_report,
                             thread_env)
 
@@ -83,10 +84,62 @@ def test_missing_idx_files_rejected_at_validation(tmp_path):
         ExperimentConfig.from_dict(doc)
 
 
-def test_config_round_trips_through_dict():
-    cfg = tiny_config()
+# per family, a value other than the default for every key that `FAMILIES`
+# lists for it; E4a has no default `dataset_b`, so its configs always set one
+CHANGED_KEYS = {
+    "E1": {"K": 3},
+    "E2a": {"K": 3, "superclass": "threshold5"},
+    "E2b": {"K": 4},
+    "E3a": {"rules": ["antiparity", "threshold5"]},
+    "E3b": {"K": 3},
+    "E4a": {"dataset_b": dict(TINY["dataset"], invert=True)},
+    "E4b": {"rules": ["antiparity", "threshold5"], "covariate_clusters": 3},
+}
+DATASETS = {
+    "glyphs": TINY["dataset"],
+    "synthetic": {"kind": "synthetic", "name": "blobs", "train_per_class": 12,
+                  "test_per_class": 4, "per_class_cap": None},
+    "idx": {"kind": "idx", "name": "mnist", "per_class_cap": 20},
+}
+
+
+def family_config(family, **keys):
+    """TINY under `family`, with the heterogeneity keys given."""
+    het = dict(family=family, clients_per_cluster=2, **keys)
+    if family == "E4a":
+        het.setdefault("dataset_b", TINY["dataset"])
+    return tiny_config(heterogeneity=het)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("kind", sorted(DATASETS))
+def test_config_round_trips_through_dict(tmp_path, family, kind):
+    """Every family's and every dataset kind's `to_dict` echo, which lists
+    the keys they do not read at their defaults, loads again."""
+    for fname in MNIST_FILES:
+        (tmp_path / fname).touch()
+    dataset = dict(DATASETS[kind], **({"root": str(tmp_path)} if kind == "idx" else {}))
+    doc = family_config(family, **CHANGED_KEYS[family]).to_dict()
+    cfg = ExperimentConfig.from_dict(dict(doc, dataset=dataset))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+
+def shard_signature(shards):
+    return [(s.cluster_id, s.train.y.tobytes(), s.train.X.tobytes(),
+             s.test.y.tobytes(), s.test.X.tobytes()) for s in shards]
+
+
+@pytest.mark.parametrize("family, key", [(f, k) for f, family in FAMILIES.items()
+                                         for k in family.keys])
+def test_every_key_a_family_reads_changes_its_partition(family, key):
+    """A key that `FAMILIES` lists for a family is one its build reads: giving
+    it another valid value changes the shards' cluster ids, labels or rows."""
+    base = family_config(family)
+    changed = family_config(family, **{key: CHANGED_KEYS[family][key]})
+    shards = [build_partition(cfg, load_dataset_pair(cfg.dataset, cfg.seed))
+              for cfg in (base, changed)]
+    assert shard_signature(shards[0]) != shard_signature(shards[1])
 
 
 def test_sparsity_level_overrides_clients_per_cluster():
@@ -641,6 +694,22 @@ def test_cli_rejects_bad_config(tmp_path):
      "test_per_class must be >= 1, got 0"),
     ({"heterogeneity": {"family": "E4a", "dataset_b": {"test_per_class": 0}}},
      "test_per_class must be >= 1, got 0"),
+    ({"heterogeneity": {"family": "E3a", "K": 7}}, "family 'E3a' does not read keys: ['K']"),
+    ({"heterogeneity": {"family": "E4b", "K": 7}}, "family 'E4b' does not read keys: ['K']"),
+    ({"heterogeneity": {"family": "E1", "rules": ["parity", "antiparity"]}},
+     "family 'E1' does not read keys: ['rules']"),
+    ({"heterogeneity": {"family": "E1", "superclass": "threshold5"}},
+     "family 'E1' does not read keys: ['superclass']"),
+    ({"heterogeneity": {"family": "E1", "covariate_clusters": 3}},
+     "family 'E1' does not read keys: ['covariate_clusters']"),
+    ({"heterogeneity": {"family": "E1", "dataset_b": TINY["dataset"]}},
+     "family 'E1' does not read keys: ['dataset_b']"),
+    ({"dataset": dict(TINY["dataset"], root="mnist")},
+     "dataset kind 'glyphs' does not read keys: ['root']"),
+    ({"dataset": {"kind": "synthetic", "invert": True}},
+     "dataset kind 'synthetic' does not read keys: ['invert']"),
+    ({"heterogeneity": {"family": "E3a", "rules": "parity"}},
+     "heterogeneity.rules must be a list of rule names, got 'parity'"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
         "ifca-rounds-ignored", "fedavg-k-ignored", "fedavg-lr-schedule",
@@ -649,7 +718,9 @@ def test_cli_rejects_bad_config(tmp_path):
         "momentum-str", "lr-negative", "momentum-1", "ditto-lambda-str", "K-0", "rule-unknown",
         "superclass-unknown", "covariate-clusters-1", "subclass-sets",
         "covariate-sets", "train-per-class-0", "train-per-class-negative",
-        "synthetic-test-per-class-0", "dataset-b-test-per-class-0"])
+        "synthetic-test-per-class-0", "dataset-b-test-per-class-0", "E3a-K",
+        "E4b-K", "E1-rules", "E1-superclass", "E1-covariate-clusters",
+        "E1-dataset-b", "glyphs-root", "synthetic-invert", "rules-str"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)
@@ -700,6 +771,18 @@ def test_strategy_overrides_are_rejected_or_run_with_finite_losses(kind, overrid
     assert math.isfinite(report.results[0].mean_accuracy)
 
 
+@pytest.mark.parametrize("command", ["run", "suite", "fingerprint"])
+@pytest.mark.parametrize("text", ["", "{"], ids=["empty", "truncated"])
+def test_cli_rejects_a_config_file_that_is_not_json(tmp_path, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    r = run_cli(command, str(path), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert f"config {str(path)!r} is not JSON" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 def test_cli_suite_exit_code_reflects_failures(tmp_path):
     doc = suite_doc({"heterogeneity.K": [2, 11]})
     path = tmp_path / "suite.json"
@@ -733,10 +816,14 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
      "not an object"),
     ({"grid": {"training.epoch": [1, 2]}},
      "suite run 's_epoch=1': unknown TrainingSpec keys: ['epoch']"),
+    ({"base": dict(TINY, heterogeneity={"family": "E3a"}),
+      "grid": {"heterogeneity.K": [2, 3]}},
+     "suite run 's_K=3': family 'E3a' does not read keys: ['K']"),
 ], ids=["grid-scalar", "grid-list", "grid-string", "seed-str", "seed-bool",
         "base-list", "document-number", "grid-empty-list", "grid-repeated-value",
         "grid-same-label", "grid-path-through-number",
-        "grid-path-through-nested-number", "grid-key-names-no-field"])
+        "grid-path-through-nested-number", "grid-key-names-no-field",
+        "grid-key-family-does-not-read"])
 def test_cli_suite_rejects_malformed_document(tmp_path, override, message):
     # a dict is merged into a valid suite document; anything else replaces it
     doc = (dict(suite_doc({"heterogeneity.K": [2]}), **override)
