@@ -118,7 +118,7 @@ class HeterogeneitySpec:
     family: str = "E1"
     K: int = 2
     clients_per_cluster: int = 5
-    sparsity: str | None = None           # named level; overrides clients_per_cluster
+    sparsity: str | None = None           # named level; replaces clients_per_cluster
     # the keys below are read only by the families that `FAMILIES` lists them for
     superclass: str = "parity"
     rules: list[str] = field(default_factory=lambda: ["parity", "threshold5"])
@@ -128,9 +128,13 @@ class HeterogeneitySpec:
     def validate(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
-        check_unread_keys(self, ("family", "clients_per_cluster", "sparsity",
-                                 *FAMILIES[self.family].keys),
-                          f"family {self.family!r}")
+        # a sparsity level sets the client count, so clients_per_cluster goes unread
+        if self.sparsity is None:
+            check_unread_keys(self, ("family", "clients_per_cluster", *FAMILIES[self.family].keys),
+                              f"family {self.family!r}")
+        else:
+            check_unread_keys(self, ("family", "sparsity", *FAMILIES[self.family].keys),
+                              f"family {self.family!r} with sparsity {self.sparsity!r}")
         if self.K < 1:
             raise ConfigError(f"heterogeneity.K must be >= 1, got {self.K}")
         if not isinstance(self.rules, list):
@@ -148,7 +152,10 @@ class HeterogeneitySpec:
         if self.family == "E4a":
             if self.dataset_b is None:
                 raise ConfigError("family E4a needs heterogeneity.dataset_b")
-            self.dataset_b.validate()
+            try:
+                self.dataset_b.validate()
+            except ConfigError as exc:
+                raise ConfigError(f"heterogeneity.dataset_b: {exc}") from None
         if self.family == "E4b" and len(self.rules) != 2:
             raise ConfigError("family E4b needs exactly 2 concept rules")
         if self.family == "E4b" and self.covariate_clusters < 2:

@@ -224,6 +224,9 @@ def _plane_sums(d):
     return res
 
 
+COL_BLOCK_ENTRIES = 1 << 19  # column-gradient entries `Conv2d._col2im` holds at once
+
+
 class Conv2d(Layer):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved), as
     one GEMM per pass over im2col columns (Chellapilla et al. 2006).
@@ -262,17 +265,38 @@ class Conv2d(Layer):
         windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
         return windows.reshape(n * h * w, c * k * k)
 
-    def _col2im(self, dcols, x_shape):
-        """Sum (n*h*w, k*k*c) column gradients, entry (di*k + dj)*c + ci,
-        back onto the channels-last input grid, each input element's k*k
-        contributions in (di, dj) order."""
+    def _col2im(self, dflat, wcols, x_shape):
+        """Input gradient: the (n*h*w, k*k*c) column gradients
+        `dflat @ wcols`, entry (di*k + dj)*c + ci, summed back onto the
+        channels-last input grid, each input element's k*k contributions in
+        (di, dj) order.
+
+        The product runs one block of whole samples at a time, about
+        `COL_BLOCK_ENTRIES` column entries each (a shorter tail joins the
+        block before it), into one reused buffer, and each block's k*k
+        offsets are added before the next block's product. So only one
+        block of column gradients exists, and it stays in cache, where the
+        whole batch's (29 MB for conv2 at batch 64) went out to memory and
+        was read back k*k times. The bits are those of the whole product: a
+        batch that fits in one block is that product, and when the batch
+        splits, every block's GEMM (entries * out_ch multiply-adds) is far
+        above OpenBLAS's 10**6 small-matrix cutoff, where a GEMM rounds each
+        row as the whole product does (`forward`'s `CONV_BATCH` slices rely
+        on the same)."""
         n, c, h, w = x_shape
         k, p = self.KSIZE, self.PAD
-        dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dcols.dtype)
-        shifted = dcols.reshape(n, h, w, k, k, c)
-        for di in range(k):
-            for dj in range(k):
-                dxp[:, di:di + h, dj:dj + w] += shifted[:, :, :, di, dj]
+        dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dflat.dtype)
+        per = max(1, COL_BLOCK_ENTRIES // (h * w * k * k * c))
+        bounds = [i * per for i in range(max(1, n // per))] + [n]
+        buf = np.empty((n - bounds[-2]) * h * w * k * k * c, dtype=np.result_type(dflat, wcols))
+        for a, b in zip(bounds, bounds[1:]):
+            rows = (b - a) * h * w
+            dcols = np.matmul(dflat[a * h * w:b * h * w], wcols,
+                              out=buf[:rows * k * k * c].reshape(rows, k * k * c))
+            shifted = dcols.reshape(b - a, h, w, k, k, c)
+            for di in range(k):
+                for dj in range(k):
+                    dxp[a:b, di:di + h, dj:dj + w] += shifted[:, :, :, di, dj]
         return dxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2)
 
     def forward(self, x, params, cache):
@@ -288,8 +312,8 @@ class Conv2d(Layer):
     def backward(self, dout, params, cache, grads, input_grad=True):
         """Weight and bias gradients, then (with `input_grad`) the input
         gradient. The columns leave the cache here and are dropped right
-        after the weight-gradient GEMM, so the column gradient of the same
-        size reuses their memory instead of faulting in fresh pages."""
+        after the weight-gradient GEMM, before `_col2im` builds its block
+        of column gradients."""
         cols, x_shape = cache.pop(self.name)
         n, _, h, w = x_shape
         dflat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(n * h * w, self.out_ch)
@@ -303,7 +327,7 @@ class Conv2d(Layer):
             # slice of the column gradients is contiguous over channels
             k = self.KSIZE
             wmat = params.values[f"{self.name}.W"].reshape(self.out_ch, self.in_ch, k, k)
-            return self._col2im(dflat @ wmat.transpose(0, 2, 3, 1).reshape(self.out_ch, -1),
+            return self._col2im(dflat, wmat.transpose(0, 2, 3, 1).reshape(self.out_ch, -1),
                                 x_shape)
 
 

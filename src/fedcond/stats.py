@@ -25,6 +25,11 @@ mean, divide by the population std; a coordinate with zero spread maps to 0)
 and attaches those rows to the shards. That takes one aggregate over the
 clients: the sum of each client's l eigenvalues and of their squares, 2l
 numbers per client, from which the mean and std are broadcast back.
+
+`fingerprint_all` reuses two buffers sized for its largest client, not three
+fresh client-sized arrays per client: one takes the augmented matrix, the
+other its centered copy. Each is filled by the operation that would fill a
+fresh C-ordered array, so every fingerprint keeps its bits.
 """
 
 from __future__ import annotations
@@ -34,66 +39,87 @@ import numpy as np
 from .heterogeneity import ClientShard
 
 
-def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], class_count))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
+def build_augmented(X: np.ndarray, y: np.ndarray, class_count: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Rows [x || onehot(y)]; one row per training sample.
 
-
-def build_augmented(X: np.ndarray, y: np.ndarray, class_count: int) -> np.ndarray:
-    """Rows [x || onehot(y)]; one row per training sample."""
+    Written into `out` (a float64 array of that shape) when given, else
+    into a fresh array. Each entry is a copied feature or an exact 0.0 or
+    1.0, so the bits are the same either way."""
     if X.shape[0] == 0:
         raise ValueError("cannot fingerprint an empty shard")
     y = np.asarray(y)
     if y.min() < 0 or y.max() >= class_count:
         raise ValueError(f"label outside [0, {class_count})")
-    return np.hstack([X, one_hot(y, class_count)])
+    n, f = X.shape
+    if out is None:
+        out = np.empty((n, f + class_count))
+    elif out.shape != (n, f + class_count):
+        raise ValueError(f"out has shape {out.shape}, not {(n, f + class_count)}")
+    out[:, :f] = X
+    out[:, f:] = 0.0
+    out[np.arange(n), f + y] = 1.0
+    return out
 
 
-def _noise_floor(Z: np.ndarray, top: float) -> float:
+def _noise_floor(n: int, d: int, scale: float, top: float) -> float:
     """Eigenvalues below this are round-off and become exact zeros.
 
-    The larger of the centering round-off of Z and the symmetric solver's
-    accuracy, d * eps * lambda_1, where `top` is the largest eigenvalue found.
+    The larger of the centering round-off of an n x d matrix whose largest
+    magnitude is `scale` and the symmetric solver's accuracy,
+    d * eps * lambda_1, where `top` is the largest eigenvalue found.
     """
-    n, d = Z.shape
     eps = np.finfo(np.float64).eps
-    scale = np.abs(Z).max(initial=0.0)
     return max(n * (scale * eps) ** 2, d * eps * top)
 
 
-def pca_eigenvalues(Z: np.ndarray, l: int) -> np.ndarray:
+def pca_eigenvalues(Z: np.ndarray, l: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """Top-l covariance eigenvalues, sorted descending, zero-padded to l.
 
     Zc.T @ Zc (d x d) and Zc @ Zc.T (n x n) share their nonzero spectrum, so
     `eigvalsh` runs on the smaller one: the Gram matrix when n < d (the
     snapshot method), the covariance otherwise.
+
+    `Z` is left unchanged. The centered Zc goes into `scratch` (a C-ordered
+    array of Z's shape that nothing else reads) when given, else into a
+    fresh one: the same subtraction into the same layout, so the product,
+    the solver and the result keep their bits. The noise floor's scale,
+    max |Z|, is max(-Z.min(), Z.max()) for any finite Z, with no |Z|
+    temporary.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     n, d = Z.shape
     if n < 2:
         return np.zeros(l)
-    Zc = Z - Z.mean(axis=0, keepdims=True)
-    gram = (Zc @ Zc.T if n < d else Zc.T @ Zc) / (n - 1)
+    scale = max(-Z.min(), Z.max())
+    Zc = np.subtract(Z, Z.mean(axis=0, keepdims=True), out=scratch)
+    gram = Zc @ Zc.T if n < d else Zc.T @ Zc
+    gram /= n - 1
     vals = np.linalg.eigvalsh(gram)[::-1]
-    vals[vals <= _noise_floor(Z, vals[0])] = 0.0
+    vals[vals <= _noise_floor(n, d, scale, vals[0])] = 0.0
     k = min(l, n, d)
     out = np.zeros(l)
     out[:k] = vals[:k]
     return out
 
 
-def fingerprint_client(shard: ClientShard, class_count: int, l: int) -> np.ndarray:
+def fingerprint_client(shard: ClientShard, class_count: int, l: int,
+                       out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
     """Compute and attach a client's raw fingerprint from its training shard.
 
     Returns the client's local eigenvalues, unstandardized; `fingerprint_all`
     replaces the attached vector with the standardized one. Computed once
     before training; the same vector is reused at inference, so no test-time
-    label information enters the pipeline.
+    label information enters the pipeline. `out` and `scratch`, when given,
+    are buffers of the augmented width with at least the shard's rows; their
+    leading rows take the augmented matrix and its centered copy.
     """
-    Z = build_augmented(shard.train.X, shard.train.y, class_count)
-    stats = pca_eigenvalues(Z, l)
+    n = len(shard.train)
+    Z = build_augmented(shard.train.X, shard.train.y, class_count,
+                        None if out is None else out[:n])
+    stats = pca_eigenvalues(Z, l, None if scratch is None else scratch[:n])
     shard.stats = stats
     return stats
 
@@ -103,9 +129,14 @@ def fingerprint_all(shards: list[ClientShard], class_count: int, l: int) -> np.n
 
     Each coordinate of the raw fingerprints is standardized across these
     clients, and row i is attached to shards[i] as its conditioning vector.
-    These rows are what `report.json` and `fingerprints.json` record.
+    These rows are what `report.json` and `fingerprints.json` record. One
+    `out` and one `scratch` buffer, sized for the largest shard, serve every
+    client in turn.
     """
-    raw = np.vstack([fingerprint_client(s, class_count, l) for s in shards])
+    rows = max((len(s.train) for s in shards), default=0)
+    width = max((s.train.X.shape[1] for s in shards), default=0) + class_count
+    out, scratch = np.empty((rows, width)), np.empty((rows, width))
+    raw = np.vstack([fingerprint_client(s, class_count, l, out, scratch) for s in shards])
     F = standardize_across_clients(raw)
     for shard, row in zip(shards, F):
         shard.stats = row

@@ -144,6 +144,7 @@ def test_every_key_a_family_reads_changes_its_partition(family, key):
 
 def test_sparsity_level_overrides_clients_per_cluster():
     doc = json.loads(json.dumps(TINY))
+    del doc["heterogeneity"]["clients_per_cluster"]
     doc["heterogeneity"]["sparsity"] = "Medium"
     cfg = ExperimentConfig.from_dict(doc)
     assert cfg.heterogeneity.effective_clients_per_cluster() == 10
@@ -710,6 +711,10 @@ def test_cli_rejects_bad_config(tmp_path):
      "dataset kind 'synthetic' does not read keys: ['invert']"),
     ({"heterogeneity": {"family": "E3a", "rules": "parity"}},
      "heterogeneity.rules must be a list of rule names, got 'parity'"),
+    ({"heterogeneity": {"family": "E1", "clients_per_cluster": 3, "sparsity": "Rich"}},
+     "family 'E1' with sparsity 'Rich' does not read keys: ['clients_per_cluster']"),
+    ({"heterogeneity": {"family": "E4a", "dataset_b": {"kind": "glyphs", "root": "x"}}},
+     "heterogeneity.dataset_b: dataset kind 'glyphs' does not read keys: ['root']"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
         "ifca-rounds-ignored", "fedavg-k-ignored", "fedavg-lr-schedule",
@@ -720,7 +725,8 @@ def test_cli_rejects_bad_config(tmp_path):
         "covariate-sets", "train-per-class-0", "train-per-class-negative",
         "synthetic-test-per-class-0", "dataset-b-test-per-class-0", "E3a-K",
         "E4b-K", "E1-rules", "E1-superclass", "E1-covariate-clusters",
-        "E1-dataset-b", "glyphs-root", "synthetic-invert", "rules-str"])
+        "E1-dataset-b", "glyphs-root", "synthetic-invert", "rules-str",
+        "sparsity-with-clients-per-cluster", "dataset-b-glyphs-root"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)

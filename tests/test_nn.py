@@ -556,7 +556,7 @@ def run_layer(layer, x, dout, params=None):
 
 
 CONV_SHAPES = [(1, 32, 28), (32, 64, 14)]  # conv1 and conv2 of mnist_cnn
-BATCH_SIZES = [1, 2, 17, 64]
+BATCH_SIZES = [1, 2, 17, 18, 64]  # conv2 `_col2im` blocks of 9: 17 is one, 18 two, 64 a merged tail
 
 
 @pytest.mark.parametrize("n", BATCH_SIZES)

@@ -2,6 +2,8 @@
 properties, with explicit covariance and Gram eigendecompositions as the
 reference oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from fedcond import stats
 from fedcond.data import (DatasetPair, GaussianClusterSpec, synth_clusters,
                           synth_glyphs)
-from fedcond.heterogeneity import partition_label_shift
+from fedcond.heterogeneity import ClientShard, partition_label_shift
 
 
 def explicit_cov_eigs(Z, l):
@@ -257,6 +259,62 @@ def test_fingerprint_all_standardizes_across_clients():
     raw = np.vstack([stats.fingerprint_client(s, 10, l=8) for s in shards])
     assert np.allclose(F, (raw - raw.mean(axis=0)) / raw.std(axis=0))
     assert np.allclose(F.mean(axis=0), 0.0) and np.allclose(F.std(axis=0), 1.0)
+
+
+def row_shards(sizes, per_class=100):
+    """One shard per size, each the leading rows of one shuffle of a glyph
+    split (1,000 rows of 784 features + 10 classes: d = 794)."""
+    ds = synth_glyphs(per_class, seed=5)
+    order = np.random.default_rng(5).permutation(len(ds))
+    return [ClientShard(client_id=i, cluster_id=0, train=ds.take(order[:n]), test=ds)
+            for i, n in enumerate(sizes)]
+
+
+def test_buffered_fingerprints_equal_the_unbuffered_reference_bit_for_bit():
+    """`fingerprint_all` reuses two buffers across shards of n = 1, n < d
+    and n >= d, in both orders of size; its rows are those of fresh arrays."""
+    shards = row_shards([50, 1000, 1, 300, 799, 7])
+    want = stats.standardize_across_clients(np.vstack([
+        stats.pca_eigenvalues(stats.build_augmented(s.train.X, s.train.y, 10), 12)
+        for s in shards]))
+    F = stats.fingerprint_all(shards, 10, l=12)
+    assert F.tobytes() == want.tobytes()
+    assert all(s.stats.tobytes() == row.tobytes() for s, row in zip(shards, F))
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 1000])
+def test_buffers_leave_arguments_and_results_unchanged(n):
+    X = synth_glyphs(100, seed=6).X[:n]
+    y = np.arange(n) % 10
+    X_before = X.copy()
+    want_Z = stats.build_augmented(X, y, 10)
+    out = np.full((n, 794), np.nan)
+    Z = stats.build_augmented(X, y, 10, out=out)
+    assert Z is out and Z.tobytes() == want_Z.tobytes()
+    assert X.tobytes() == X_before.tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        stats.build_augmented(X, y, 10, out=np.empty((n, 800)))
+    want = stats.pca_eigenvalues(Z, 16)
+    scratch = np.full((n, 794), np.nan)
+    got = stats.pca_eigenvalues(Z, 16, scratch=scratch)
+    assert got.tobytes() == want.tobytes()
+    assert Z.tobytes() == want_Z.tobytes()
+
+
+def test_fingerprint_all_holds_no_per_client_temporaries():
+    """Besides its two reused buffers the pass holds one Gram or covariance
+    matrix and small arrays, not a fresh augmented matrix per client."""
+    sizes = [1000, 1000, 1000, 50]  # e1-rich-shaped shards, and a sparse one
+    shards = row_shards(sizes)
+    d = 784 + 10
+    allowed = 8 * (2 * max(sizes) * d + max(min(n, d) for n in sizes) ** 2) + 2 ** 20
+    tracemalloc.start()
+    try:
+        stats.fingerprint_all(shards, 10, l=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= allowed, f"{peak / 2 ** 20:.1f} MiB against {allowed / 2 ** 20:.1f} MiB"
 
 
 def test_zero_spread_coordinates_map_to_zero():
