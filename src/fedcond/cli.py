@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig, SuiteConfig
 from .experiment import StageError, fingerprint_only, reaggregate, run_experiment, run_suite
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
                 if "seed" in suite.grid:
                     raise ConfigError("--seed sets the suite seed, which a grid "
                                       "that lists seeds does not use")
-                suite.seed = args.seed
+                suite = replace(suite, seed=args.seed)  # checked like the file's
             summary = run_suite(suite, out_root=args.out or f"runs/{suite.name}",
                                 threads=args.threads)
             for s in summary["runs"]:

@@ -52,15 +52,15 @@ def check_unread_keys(spec, reads: tuple[str, ...], what: str) -> None:
         raise ConfigError(f"{what} does not read keys: {unread}")
 
 
-def read_json(path):
-    """The JSON document in the file at `path`, else ConfigError."""
+def read_json(path, what: str = "config"):
+    """The JSON document in the `what` file at `path`, else ConfigError."""
     try:
         with open(path) as f:
             return json.load(f)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {str(path)!r}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read {what} {str(path)!r}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise ConfigError(f"config {str(path)!r} is not JSON: {exc}") from None
+        raise ConfigError(f"{what} {str(path)!r} is not JSON: {exc}") from None
 
 
 def check_field_types(obj, where: str = "") -> None:
@@ -306,6 +306,8 @@ class ExperimentConfig:
 
     def validate(self):
         check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         sections = {"dataset": self.dataset, "heterogeneity": self.heterogeneity,
                     "heterogeneity.dataset_b": self.heterogeneity.dataset_b,
                     "stats": self.stats, "training": self.training}
@@ -389,6 +391,8 @@ class SuiteConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"suite seed must be >= 0, got {self.seed}")
         if not isinstance(self.base, dict):
             raise ConfigError(f"suite base must be an object, got {self.base!r}")
         if not (isinstance(self.grid, dict)

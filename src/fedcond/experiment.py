@@ -134,8 +134,7 @@ def _fingerprinted_shards(config: ExperimentConfig, timings: dict | None = None
         shards = build_partition(config, pair)
         del pair  # the shards hold their rows in their own arrays; nothing reads the source
     with _stage("fingerprint", timings):
-        fingerprints = fingerprint_all(shards, shards[0].train.class_count,
-                                       l=config.stats.l)
+        fingerprints = fingerprint_all(shards, l=config.stats.l)
     return shards, fingerprints
 
 
@@ -192,7 +191,8 @@ def _strategy_result(outcome: TrainedOutcome, cfg: StrategyConfig, shards, accs,
     ari = None
     if outcome.assignments is not None:
         assignments = [int(outcome.assignments[s.client_id]) for s in shards]
-        ari = compute_ari(true_ids, assignments)
+        if len(shards) > 1:  # ARI compares pairs of clients
+            ari = compute_ari(true_ids, assignments)
     return StrategyResult(
         strategy=outcome.strategy,
         per_client_accuracy=[accs[s.client_id] for s in shards],

@@ -386,24 +386,17 @@ class Flatten(Layer):
 
 
 class ConcatStats(Layer):
-    """Concatenate the per-sample statistics rows onto the flattened features.
-
-    The stats block is a fixed input, so its gradient slice is dropped on the
-    way back; only the feature slice propagates.
-    """
+    """Concatenate the per-sample statistics rows, the pass's `cache["stats"]`
+    as `_prepare` checked them, onto the flattened features. The stats block
+    is a fixed input, so only the feature slice of the gradient propagates."""
 
     def __init__(self, name: str, stats_dim: int):
         self.name = name
         self.stats_dim = stats_dim
 
-    def forward(self, x, params, cache, stats=None):
-        if stats is None:
-            raise ConditioningError("conditional architecture requires a stats vector")
-        if stats.shape != (x.shape[0], self.stats_dim):
-            raise ShapeMismatchError(
-                self.name, f"expected stats ({x.shape[0]},{self.stats_dim}), got {stats.shape}")
+    def forward(self, x, params, cache):
         cache[self.name] = x.shape[1]
-        return np.hstack([x, stats])
+        return np.hstack([x, cache["stats"]])
 
     def backward(self, dout, params, cache, grads):
         return dout[:, :cache.pop(self.name)]
@@ -465,28 +458,25 @@ def init_params(arch: Architecture, seed: int | np.random.Generator) -> ModelPar
                        tuple((name, v.shape) for name, v in values.items()))
 
 
-def _prepare_input(arch: Architecture, x: np.ndarray) -> np.ndarray:
+def _prepare(arch: Architecture, x, stats) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """The batch in the plan's input shape, its (n, stats_dim) conditioning
+    rows (None if unconditional; a 1-D `stats` is broadcast) and whether `x`
+    was one sample. The one check of the conditioning input."""
     x = np.asarray(x)
     if x.size == 0:
         raise ValueError("empty batch")
     single = x.ndim == 1 or x.shape == tuple(arch.input_shape)
-    if single:
-        x = x.reshape(1, -1)
-    else:
-        x = x.reshape(x.shape[0], -1)
+    x = x.reshape(1 if single else x.shape[0], -1)
     if x.shape[1] != arch.input_size:
         raise ShapeMismatchError("input", f"expected {arch.input_size} features per sample, "
                                           f"got {x.shape[1]}")
+    n = x.shape[0]
     if arch.kind == "mnist_cnn":
-        x = x.reshape(x.shape[0], *arch.input_shape)
-    return x
-
-
-def _prepare_stats(arch: Architecture, n: int, stats) -> np.ndarray | None:
+        x = x.reshape(n, *arch.input_shape)
     if not arch.conditional:
         if stats is not None:
             raise ConditioningError(f"{arch.kind} takes no stats vector")
-        return None
+        return x, None, single
     if stats is None:
         raise ConditioningError(f"{arch.kind} requires a stats vector of length {arch.stats_dim}")
     stats = np.asarray(stats, dtype=np.float64)
@@ -496,21 +486,25 @@ def _prepare_stats(arch: Architecture, n: int, stats) -> np.ndarray | None:
         stats = np.broadcast_to(stats, (n, arch.stats_dim))
     if stats.shape != (n, arch.stats_dim):
         raise ConditioningError(f"stats shape {stats.shape} incompatible with batch of {n}")
-    return stats
+    return x, stats, single
 
 
 def _forward_cached(layers, params: ModelParams, x: np.ndarray,
                     stats: np.ndarray | None, locate_nonfinite: bool = False):
-    caches = {}
+    caches = {"stats": stats}
     h = x
     for layer in layers:
-        if isinstance(layer, ConcatStats):
-            h = layer.forward(h, params, caches, stats=stats)
-        else:
-            h = layer.forward(h, params, caches)
+        h = layer.forward(h, params, caches)
         if locate_nonfinite and not np.all(np.isfinite(h)):
             raise NumericsError(layer.name, "non-finite activation")
     return h, caches
+
+
+def _check_finite(logits, params, arch, x, stats) -> None:
+    """Non-finite logits raise NumericsError naming the first such layer."""
+    if not np.all(np.isfinite(logits)):
+        _forward_cached(_plan(arch), params, x, stats, locate_nonfinite=True)
+        raise NumericsError("output", "non-finite activation")
 
 
 CONV_BATCH = 64  # most samples `forward` runs through the conv stack at once
@@ -526,11 +520,8 @@ def forward(params: ModelParams, arch: Architecture, x, stats=None) -> np.ndarra
     array. Those layers act on each sample alone, and their GEMMs round a
     row the same way in any batch of two or more samples, so the logits are
     those of one pass over the batch (a test checks the bits)."""
-    xa = np.asarray(x)
-    single = xa.ndim == 1 or xa.shape == tuple(arch.input_shape)
-    xb = _prepare_input(arch, xa)
+    xb, sb, single = _prepare(arch, x, stats)
     n = xb.shape[0]
-    sb = _prepare_stats(arch, n, stats)
     plan = _plan(arch)
     stem = next(i for i, layer in enumerate(plan) if isinstance(layer, Flatten))
     h = xb
@@ -542,14 +533,8 @@ def forward(params: ModelParams, arch: Architecture, x, stats=None) -> np.ndarra
             rows.reshape(out.shape)[...] = out
         plan = plan[stem + 1:]
     logits, _ = _forward_cached(plan, params, h, sb)
-    if not np.all(np.isfinite(logits)):
-        _raise_first_nonfinite(params, arch, xb, sb)
+    _check_finite(logits, params, arch, xb, sb)
     return logits[0] if single else logits
-
-
-def _raise_first_nonfinite(params, arch, x, stats):
-    _forward_cached(_plan(arch), params, x, stats, locate_nonfinite=True)
-    raise NumericsError("output", "non-finite activation")
 
 
 def mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
@@ -570,7 +555,7 @@ def loss_and_grad(params: ModelParams, arch: Architecture, x, y,
     of the shifted logits serves the loss (the logsumexp form of
     `mean_cross_entropy`) and the softmax of its gradient, with the bits of
     both."""
-    xb = _prepare_input(arch, np.asarray(x))
+    xb, sb, _ = _prepare(arch, x, stats)
     n = xb.shape[0]
     yb = np.asarray(y).reshape(-1)
     if yb.shape[0] != n:
@@ -578,11 +563,9 @@ def loss_and_grad(params: ModelParams, arch: Architecture, x, y,
     if yb.min() < 0 or yb.max() >= arch.class_count:
         raise ValueError(f"label out of range [0,{arch.class_count}): "
                          f"min={yb.min()} max={yb.max()}")
-    sb = _prepare_stats(arch, n, stats)
     plan = _plan(arch)
     logits, caches = _forward_cached(plan, params, xb, sb)
-    if not np.all(np.isfinite(logits)):
-        _raise_first_nonfinite(params, arch, xb, sb)
+    _check_finite(logits, params, arch, xb, sb)
     rows = np.arange(n)
     z = logits - logits.max(axis=-1, keepdims=True)
     picked = z[rows, yb]

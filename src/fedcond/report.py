@@ -15,6 +15,8 @@ import subprocess
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .config import ConfigError, read_json
+
 PROVENANCE = {
     "pixel_scaling": "x/255 into [0,1], no standardization",
     "pca_centering": "column mean",
@@ -93,8 +95,12 @@ class RunReport:
 
     @classmethod
     def from_file(cls, path) -> "RunReport":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        """The report in the file at `path`, else ConfigError naming it."""
+        doc = read_json(path, "report")
+        try:
+            return cls.from_dict(doc)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"report {str(path)!r} is not a run report: {exc!r}") from None
 
 
 RUN_COLUMNS = ("run_id", "family", "dataset", "K", "sparsity")

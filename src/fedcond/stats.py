@@ -104,40 +104,24 @@ def pca_eigenvalues(Z: np.ndarray, l: int, scratch: np.ndarray | None = None) ->
     return out
 
 
-def fingerprint_client(shard: ClientShard, class_count: int, l: int,
-                       out: np.ndarray | None = None,
-                       scratch: np.ndarray | None = None) -> np.ndarray:
-    """Compute and attach a client's raw fingerprint from its training shard.
+def fingerprint_all(shards: list[ClientShard], l: int) -> np.ndarray:
+    """Standardized fingerprints for every shard, stacked (n_clients, l);
+    row i is attached to shards[i], the one write of its conditioning vector.
 
-    Returns the client's local eigenvalues, unstandardized; `fingerprint_all`
-    replaces the attached vector with the standardized one. Computed once
-    before training; the same vector is reused at inference, so no test-time
-    label information enters the pipeline. `out` and `scratch`, when given,
-    are buffers of the augmented width with at least the shard's rows; their
-    leading rows take the augmented matrix and its centered copy.
-    """
-    n = len(shard.train)
-    Z = build_augmented(shard.train.X, shard.train.y, class_count,
-                        None if out is None else out[:n])
-    stats = pca_eigenvalues(Z, l, None if scratch is None else scratch[:n])
-    shard.stats = stats
-    return stats
-
-
-def fingerprint_all(shards: list[ClientShard], class_count: int, l: int) -> np.ndarray:
-    """Standardized fingerprints for every shard, stacked (n_clients, l).
-
-    Each coordinate of the raw fingerprints is standardized across these
-    clients, and row i is attached to shards[i] as its conditioning vector.
-    These rows are what `report.json` and `fingerprints.json` record. One
-    `out` and one `scratch` buffer, sized for the largest shard, serve every
-    client in turn.
-    """
-    rows = max((len(s.train) for s in shards), default=0)
-    width = max((s.train.X.shape[1] for s in shards), default=0) + class_count
+    Each coordinate of the clients' raw eigenvalues is standardized across
+    them. Computed once before training and reused at inference, so no
+    test-time label enters. `report.json` and `fingerprints.json` record
+    these rows."""
+    class_count = shards[0].train.class_count
+    rows = max(len(s.train) for s in shards)
+    width = max(s.train.X.shape[1] for s in shards) + class_count
     out, scratch = np.empty((rows, width)), np.empty((rows, width))
-    raw = np.vstack([fingerprint_client(s, class_count, l, out, scratch) for s in shards])
-    F = standardize_across_clients(raw)
+    raw = []
+    for s in shards:
+        n = len(s.train)
+        Z = build_augmented(s.train.X, s.train.y, class_count, out[:n])
+        raw.append(pca_eigenvalues(Z, l, scratch[:n]))
+    F = standardize_across_clients(np.vstack(raw))
     for shard, row in zip(shards, F):
         shard.stats = row
     return F

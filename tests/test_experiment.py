@@ -672,6 +672,7 @@ def test_cli_rejects_bad_config(tmp_path):
     ({"strategies": [5]}, "strategies must be a list of kind names or objects"),
     ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
     ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"training": {"batch_size": 2.5}}, "training.batch_size must be an integer"),
     ({"training": {"momentum": "0.9"}}, "training.momentum must be a finite number"),
     ({"training": {"learning_rate": -1}}, "training.learning_rate must be > 0"),
@@ -719,7 +720,8 @@ def test_cli_rejects_bad_config(tmp_path):
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
         "ifca-rounds-ignored", "fedavg-k-ignored", "fedavg-lr-schedule",
         "stats-method", "stats-extractor", "epochs-str", "l-str", "K-str",
-        "cap-str", "strategy-int", "seed-str", "seed-bool", "batch-size-float",
+        "cap-str", "strategy-int", "seed-str", "seed-bool", "seed-negative",
+        "batch-size-float",
         "momentum-str", "lr-negative", "momentum-1", "ditto-lambda-str", "K-0", "rule-unknown",
         "superclass-unknown", "covariate-clusters-1", "subclass-sets",
         "covariate-sets", "train-per-class-0", "train-per-class-negative",
@@ -807,6 +809,8 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
      "got {'heterogeneity.sparsity': 'Rich'}"),
     ({"seed": "3"}, "seed must be an integer, got '3'"),
     ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": -3}, "suite seed must be >= 0, got -3"),
+    ({"grid": {"seed": [-1]}}, "suite run 's_seed=-1': seed must be >= 0, got -1"),
     ({"base": [1]}, "suite base must be an object, got [1]"),
     (5, "a suite config must be a JSON object"),
     ({"grid": {"heterogeneity.K": [], "training.epochs": [1]}},
@@ -826,7 +830,7 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
       "grid": {"heterogeneity.K": [2, 3]}},
      "suite run 's_K=3': family 'E3a' does not read keys: ['K']"),
 ], ids=["grid-scalar", "grid-list", "grid-string", "seed-str", "seed-bool",
-        "base-list", "document-number", "grid-empty-list", "grid-repeated-value",
+        "seed-negative", "grid-seed-negative", "base-list", "document-number", "grid-empty-list", "grid-repeated-value",
         "grid-same-label", "grid-path-through-number",
         "grid-path-through-nested-number", "grid-key-names-no-field",
         "grid-key-family-does-not-read"])
@@ -852,6 +856,35 @@ def test_cli_suite_rejects_seed_override_of_a_grid_that_lists_seeds(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["suite.json"]
 
 
+@pytest.mark.parametrize("command", ["run", "suite", "fingerprint"])
+def test_cli_rejects_a_negative_seed_flag(tmp_path, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(suite_doc({"heterogeneity.K": [2]}) if command == "suite"
+                               else TINY))
+    r = run_cli(command, str(path), "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "seed must be >= 0, got -1" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_runs_one_client_and_reports_no_ari(tmp_path):
+    """Every kind that takes one client runs on one; IFCA keeps its
+    assignment and reports no ARI, which needs a pair of clients."""
+    doc = dict(json.loads(json.dumps(TINY)),
+               heterogeneity={"family": "E1", "K": 1, "clients_per_cluster": 1},
+               strategies=["conditional", "local", "fedavg", "oracle", "ifca", "ditto"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert r.returncode == 0, r.stderr
+    report = RunReport.from_file(tmp_path / "out" / "report.json")
+    ifca = next(res for res in report.results if res.strategy == "ifca")
+    assert ifca.ari is None and len(ifca.assignments) == 1
+    with open(tmp_path / "out" / "summary.csv") as f:
+        assert [row["ari"] for row in csv.DictReader(f)] == [""] * 6
+
+
 def test_cli_fingerprint_subcommand(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY))
@@ -865,6 +898,22 @@ def test_cli_report_subcommand(tmp_path):
     r = run_cli("report", str(tmp_path))
     assert r.returncode == 0
     assert (tmp_path / "suite_summary.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "is not JSON"),
+    (json.dumps({"run_id": "r"}), "is not a run report: KeyError('results')"),
+    (json.dumps([1, 2]), "is not a run report: TypeError"),
+], ids=["not-json", "no-results", "list"])
+def test_cli_report_rejects_a_file_that_is_not_a_report(tmp_path, text, message):
+    path = tmp_path / "r1" / "report.json"
+    path.parent.mkdir()
+    path.write_text(text)
+    r = run_cli("report", str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert f"report {str(path)!r} {message}" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "suite_summary.csv").exists()
 
 
 @pytest.mark.parametrize("command, flag", [("run", "--threads"), ("fingerprint", "--threads"),

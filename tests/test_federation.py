@@ -475,7 +475,7 @@ def test_conditional_requires_fingerprints():
 
 def test_conditional_widens_the_backbone_by_the_fingerprint_length():
     shards = gaussian_shards()
-    fingerprint_all(shards, 2, l=3)
+    fingerprint_all(shards, l=3)
     out = fed.train_conditional(shards, arch_for(shards), opt(),
                                 fed.StrategyConfig("conditional", epochs=1), SEED)
     assert out.arch == arch_for(shards, stats_dim=3) and out.arch.conditional
@@ -487,7 +487,7 @@ def test_conditional_widens_the_backbone_by_the_fingerprint_length():
 
 def test_conditional_beats_fedavg_on_synthetic_concept_shift():
     shards = gaussian_shards(n_clients=6, n_per=300, concept_shift=True, seed=8)
-    fingerprint_all(shards, 2, l=4)
+    fingerprint_all(shards, l=4)
     cond_arch = nn.mlp_architecture(2, 2, hidden_dim=32, stats_dim=4)
     base_arch = arch_for(shards)
     cond = fed.train_conditional(shards, cond_arch, opt(),
@@ -503,7 +503,7 @@ def test_conditional_beats_fedavg_on_synthetic_concept_shift():
 
 def test_conditional_single_client_is_centralized_with_constant_stats():
     shards = gaussian_shards()[:1]
-    fingerprint_all(shards, 2, l=4)
+    fingerprint_all(shards, l=4)
     arch = arch_for(shards, stats_dim=4)
     out = fed.train_conditional(shards, arch, opt(),
                                 fed.StrategyConfig("conditional", epochs=5), SEED)

@@ -131,6 +131,25 @@ def test_stats_required_iff_conditional():
         nn.forward(nn.init_params(plain, 0), plain, x, stats=np.zeros(2))
 
 
+@pytest.mark.parametrize("stats_dim, stats, message", [
+    (2, None, "requires a stats vector of length 2"),
+    (0, np.zeros(2), "takes no stats vector"),
+    (2, np.zeros(3), "stats length 3 != stats_dim 2"),
+    (2, np.zeros((3, 2)), r"stats shape \(3, 2\) incompatible with batch of 4"),
+    (2, np.zeros((4, 3)), r"stats shape \(4, 3\) incompatible with batch of 4"),
+], ids=["missing", "unconditional", "1d-wrong-length", "2d-wrong-rows", "2d-wrong-width"])
+@pytest.mark.parametrize("entry", ["forward", "loss_and_grad"])
+def test_conditioning_input_is_checked_at_both_entry_points(entry, stats_dim, stats, message):
+    arch = nn.mlp_architecture(5, 3, stats_dim=stats_dim)
+    params = nn.init_params(arch, 0)
+    x, y = np.zeros((4, 5)), np.zeros(4, dtype=int)
+    with pytest.raises(nn.ConditioningError, match=message):
+        if entry == "forward":
+            nn.forward(params, arch, x, stats=stats)
+        else:
+            nn.loss_and_grad(params, arch, x, y, stats=stats)
+
+
 def test_nonfinite_activation_names_layer():
     arch = nn.mlp_architecture(5, 3)
     params = nn.init_params(arch, 0)

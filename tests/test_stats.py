@@ -222,27 +222,28 @@ def glyph_shards(per_class=40):
 
 
 def test_fingerprint_attached_and_deterministic():
+    """`fingerprint_all` attaches exactly the rows it returns, and a second
+    call gives the same bits."""
     shards = glyph_shards()
-    a = stats.fingerprint_client(shards[0], 10, l=16)
-    assert shards[0].stats is a
-    b = stats.pca_eigenvalues(
-        stats.build_augmented(shards[0].train.X, shards[0].train.y, 10), 16)
-    assert np.array_equal(a, b)
+    F = stats.fingerprint_all(shards, l=16)
+    assert all(s.stats.tobytes() == row.tobytes() for s, row in zip(shards, F))
+    again = glyph_shards()
+    assert stats.fingerprint_all(again, l=16).tobytes() == F.tobytes()
+    assert all(s.stats.tobytes() == row.tobytes() for s, row in zip(again, F))
 
 
 def test_identical_shards_identical_fingerprints():
     shards = glyph_shards()
-    a = stats.fingerprint_client(shards[0], 10, l=16)
     clone = type(shards[0])(client_id=99, cluster_id=0,
                             train=shards[0].train, test=shards[0].test)
-    b = stats.fingerprint_client(clone, 10, l=16)
-    assert np.array_equal(a, b)
+    F = stats.fingerprint_all([*shards, clone], l=16)
+    assert np.array_equal(F[0], F[-1]) and np.any(F[0] != 0.0)
 
 
 def test_label_shift_fingerprints_separate_clusters():
     # needs a few hundred samples per client before jitter stops dominating
     shards = glyph_shards(per_class=200)
-    F = stats.fingerprint_all(shards, 10, l=16)
+    F = stats.fingerprint_all(shards, l=16)
     cl = np.array([s.cluster_id for s in shards])
     D = np.linalg.norm(F[:, None, :] - F[None, :, :], axis=-1)
     within = max(D[i, j] for i in range(6) for j in range(6)
@@ -254,9 +255,10 @@ def test_label_shift_fingerprints_separate_clusters():
 
 def test_fingerprint_all_standardizes_across_clients():
     shards = glyph_shards()
-    F = stats.fingerprint_all(shards, 10, l=8)
+    F = stats.fingerprint_all(shards, l=8)
     assert all(np.array_equal(s.stats, row) for s, row in zip(shards, F))
-    raw = np.vstack([stats.fingerprint_client(s, 10, l=8) for s in shards])
+    raw = np.vstack([stats.pca_eigenvalues(stats.build_augmented(s.train.X, s.train.y, 10), 8)
+                     for s in shards])
     assert np.allclose(F, (raw - raw.mean(axis=0)) / raw.std(axis=0))
     assert np.allclose(F.mean(axis=0), 0.0) and np.allclose(F.std(axis=0), 1.0)
 
@@ -277,7 +279,7 @@ def test_buffered_fingerprints_equal_the_unbuffered_reference_bit_for_bit():
     want = stats.standardize_across_clients(np.vstack([
         stats.pca_eigenvalues(stats.build_augmented(s.train.X, s.train.y, 10), 12)
         for s in shards]))
-    F = stats.fingerprint_all(shards, 10, l=12)
+    F = stats.fingerprint_all(shards, l=12)
     assert F.tobytes() == want.tobytes()
     assert all(s.stats.tobytes() == row.tobytes() for s, row in zip(shards, F))
 
@@ -310,7 +312,7 @@ def test_fingerprint_all_holds_no_per_client_temporaries():
     allowed = 8 * (2 * max(sizes) * d + max(min(n, d) for n in sizes) ** 2) + 2 ** 20
     tracemalloc.start()
     try:
-        stats.fingerprint_all(shards, 10, l=16)
+        stats.fingerprint_all(shards, l=16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -321,9 +323,9 @@ def test_zero_spread_coordinates_map_to_zero():
     # a single client has no spread at all; zero padding beyond the rank
     # (l > d here) gives columns that are 0 on every client
     shards = glyph_shards()
-    one = stats.fingerprint_all(shards[:1], 10, l=4)
+    one = stats.fingerprint_all(shards[:1], l=4)
     assert one.tolist() == [[0.0] * 4]
-    F = stats.fingerprint_all(shards, 10, l=800)
+    F = stats.fingerprint_all(shards, l=800)
     assert np.all(np.isfinite(F))
     assert np.array_equal(F[:, 794:], np.zeros((len(shards), 6)))
     assert np.all(F[:, 0] != 0.0)
