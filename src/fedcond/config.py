@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
-from .data import MNIST_FILES
+from .data import MNIST_FILES, GlyphSource, IdxError, idx_class_count
 from .heterogeneity import FAMILIES, NAMED_RULES, SPARSITY_LEVELS
 from .nn import ARCHITECTURE_KINDS
 
@@ -24,6 +24,7 @@ DATA_ROOT_ENV = "FEDCOND_DATA_ROOT"
 # the DatasetSpec fields each kind reads besides `kind`, `name` and `per_class_cap`
 DATASET_KEYS = {"idx": ("root",), "glyphs": ("train_per_class", "test_per_class", "invert"),
                 "synthetic": ("train_per_class", "test_per_class")}
+GENERATED_CLASSES = {"glyphs": GlyphSource.class_count, "synthetic": 4}
 LR_SCHEDULES = ("constant", "cosine")
 
 
@@ -112,6 +113,17 @@ class DatasetSpec:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
+    def class_count(self) -> int | None:
+        """The class count of the pair this spec loads: fixed for a generated
+        kind, read from the train labels for `idx`, where a file that cannot
+        be read gives None and fails at the dataset stage."""
+        if self.kind != "idx":
+            return GENERATED_CLASSES[self.kind]
+        try:
+            return idx_class_count(self.resolved_root() / MNIST_FILES[1])
+        except IdxError:
+            return None
+
 
 @dataclass
 class HeterogeneitySpec:
@@ -166,6 +178,14 @@ class HeterogeneitySpec:
         if self.sparsity is not None:
             return SPARSITY_LEVELS[self.sparsity]
         return self.clients_per_cluster
+
+    def family_values(self) -> dict:
+        """The values of the keys the family reads (`FAMILIES`)."""
+        return {key: getattr(self, key) for key in FAMILIES[self.family].keys}
+
+    def client_count(self) -> int:
+        return (FAMILIES[self.family].clusters(**self.family_values())
+                * self.effective_clients_per_cluster())
 
 
 @dataclass
@@ -317,11 +337,21 @@ class ExperimentConfig:
         if not self.strategies:
             raise ConfigError("strategy list is empty")
         self.dataset.validate()
-        self.heterogeneity.validate()
+        het = self.heterogeneity
+        het.validate()
         self.stats.validate()
         self.training.validate()
+        # the partition relabels by each rule, so their arities must agree
+        classes = self.dataset.class_count() if "rules" in FAMILIES[het.family].keys else None
+        if classes is not None:
+            arities = sorted({NAMED_RULES[name](classes).arity for name in het.rules})
+            if len(arities) != 1:
+                raise ConfigError(f"heterogeneity: label rules disagree on output "
+                                  f"arity: {arities}")
         for entry in self.strategies:
-            strategy_config(entry, self.training)
+            kind = strategy_config(entry, self.training).kind
+            if kind in ("gossip", "dac") and het.client_count() < 2:
+                raise ConfigError(f"{kind} needs at least 2 clients, got {het.client_count()}")
 
     def to_dict(self) -> dict:
         return asdict(self)

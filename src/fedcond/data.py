@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -128,6 +129,12 @@ def load_idx(images_path, labels_path, per_class_cap: int | None = None,
     return Dataset(X, y, class_count, (h, w))
 
 
+def idx_class_count(labels_path) -> int:
+    """The class count `load_idx` gives the labels in an IDX labels file."""
+    labels = _read_idx(Path(labels_path), IDX_LABELS_MAGIC)
+    return int(labels.max()) + 1 if len(labels) else 0
+
+
 def write_idx(dataset: Dataset, images_path, labels_path) -> None:
     """Write a Dataset back out as an IDX pair (pixels quantized to bytes)."""
     h, w = dataset.input_shape[-2], dataset.input_shape[-1]
@@ -201,22 +208,8 @@ def synth_clusters(cluster_specs: list[GaussianClusterSpec], n_per_cluster: int,
 # right-angle image rotation
 # --------------------------------------------------------------------------
 
-def rotate_image(x: np.ndarray, angle: int) -> np.ndarray:
-    """Rotate a 2-D image counterclockwise by a multiple of 90 degrees.
-
-    Pure index permutation, no interpolation; rot(90) of [[a,b],[c,d]] is
-    [[b,d],[a,c]].
-    """
-    if angle not in (0, 90, 180, 270):
-        raise ValueError(f"angle must be one of 0/90/180/270, got {angle}")
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {x.shape}")
-    return np.rot90(x, k=angle // 90).copy()
-
-
 def rotate_rows(X: np.ndarray, shape: tuple[int, int], angle: int) -> np.ndarray:
-    """Rotate every flattened image row of X by `angle`."""
+    """Rotate every flattened image row of X counterclockwise by `angle` degrees."""
     if angle == 0:
         return X.copy()
     h, w = shape
@@ -282,7 +275,7 @@ _DIGIT_SEGMENTS = {
 }
 
 GLYPH_SHAPE = (28, 28)
-_GLYPH_MAX_SHIFT = 4
+_GLYPH_SHIFTS = (-4, 5)  # translation per axis, as integers(low, high)
 
 
 def _glyph_template(digit: int) -> np.ndarray:
@@ -330,40 +323,42 @@ class GlyphSource:
         The random draws are made sample by sample in a fixed order (shift,
         intensity, blotch count, each blotch's corner and value, noise), so
         every digit's samples are drawn whichever rows are asked for; the
-        images are then built digit by digit in one vectorized pass, and the
-        digit's selected rows copied out.
+        noise goes straight into a reused row block. A digit with selected
+        rows then builds its images in one reused image buffer, each read
+        from the shifted-template window of its sample, and its selected
+        rows are copied out.
         """
         rng = np.random.default_rng(self.seed)
         h, w = GLYPH_SHAPE
         n = self.n_per_class
         src = self.index[order]
-        rows = np.empty((n, h * w))
-        shifts = np.empty((n, 2), dtype=np.int64)
-        intensity = np.empty(n)
+        rows, imgs = np.empty((n, h * w)), np.empty((n, h, w))
         for digit in range(10):
             # occasional occluding blotches so single segments are unreliable
             # cues, as (sample, row, col, value), kept in draw order
-            blotches = []
+            blotches, tops, lefts, intensity = [], [], [], []
             for i in range(n):
-                shifts[i] = rng.integers(-_GLYPH_MAX_SHIFT, _GLYPH_MAX_SHIFT + 1, size=2)
-                intensity[i] = rng.uniform(0.75, 1.0)
+                # np.roll by (dy, dx) is the 2x2 tiling's window at (-dy % h, -dx % w)
+                tops.append(-rng.integers(*_GLYPH_SHIFTS) % h)
+                lefts.append(-rng.integers(*_GLYPH_SHIFTS) % w)
+                intensity.append(0.75 + 0.25 * rng.random())
                 for _ in range(rng.integers(0, 3)):
                     br, bc = rng.integers(0, h - 3), rng.integers(0, w - 3)
-                    blotches.append((i, br, bc, rng.uniform(0.0, 0.7)))
-                rows[i] = rng.normal(0.0, 0.06, size=h * w)
-            # np.roll by (dy, dx): pixel (r, c) comes from ((r - dy) % h, (c - dx) % w)
-            src_r = (np.arange(h) - shifts[:, :1]) % h
-            src_c = (np.arange(w) - shifts[:, 1:]) % w
-            imgs = _glyph_template(digit)[src_r[:, :, None], src_c[:, None, :]]
-            imgs *= intensity[:, None, None]
+                    blotches.append((i, br, bc, 0.7 * rng.random()))
+                rng.standard_normal(h * w, out=rows[i])
+            sel = np.flatnonzero(src // n == digit)
+            if not len(sel):
+                continue
+            # index the view, never reshape it: that copies all 29x29 windows
+            windows = sliding_window_view(np.tile(_glyph_template(digit), (2, 2)), GLYPH_SHAPE)
+            np.multiply(windows[tops, lefts], np.array(intensity)[:, None, None], out=imgs)
             for i, br, bc, value in blotches:
                 imgs[i, br:br + 3, bc:bc + 3] = value
-            noise = rows.reshape(n, h, w)
-            np.add(imgs, noise, out=noise)
-            np.clip(noise, 0.0, 1.0, out=noise)
+            rows *= 0.06
+            rows += imgs.reshape(n, h * w)
+            np.clip(rows, 0.0, 1.0, out=rows)
             if self.invert:
-                np.subtract(1.0, noise, out=noise)
-            sel = np.flatnonzero(src // n == digit)
+                np.subtract(1.0, rows, out=rows)
             out[sel] = rows[src[sel] - digit * n]
 
     def dataset(self) -> Dataset:
@@ -371,12 +366,6 @@ class GlyphSource:
         X = np.empty((len(self), int(np.prod(GLYPH_SHAPE))))
         self.rows(np.arange(len(self)), X)
         return Dataset(X, self.y, self.class_count, GLYPH_SHAPE)
-
-
-def synth_glyphs(n_per_class: int, seed: int, invert: bool = False) -> Dataset:
-    """Seeded 28x28 digit-glyph dataset with per-sample variability: every
-    row of `GlyphSource(n_per_class, seed, invert)`."""
-    return GlyphSource(n_per_class, seed, invert).dataset()
 
 
 def glyph_pair(train_per_class: int, test_per_class: int, seed: int,

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, DatasetSpec, ExperimentConfig, StrategyConfig,
-                     SuiteConfig, strategy_config)
+from .config import (GENERATED_CLASSES, ConfigError, DatasetSpec, ExperimentConfig,
+                     StrategyConfig, SuiteConfig, strategy_config)
 from .data import (Dataset, DatasetPair, GaussianClusterSpec, glyph_pair,
                    load_mnist_like, subsample_per_class, synth_clusters)
 from .federation import (OptimizerState, TrainedOutcome, child_seed, evaluate,
@@ -84,7 +84,7 @@ def load_dataset_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
 
 def _synthetic_blob_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
     """Small Gaussian-blob classification task, one blob per class."""
-    classes, dim = 4, 16
+    classes, dim = GENERATED_CLASSES["synthetic"], 16
     rng = np.random.default_rng(child_seed(seed, 0xB70B))
     means = rng.uniform(-1.5, 1.5, size=(classes, dim))
     specs = [GaussianClusterSpec(tuple(means[c]), 0.25, lambda x, c=c: c)
@@ -103,13 +103,12 @@ def build_partition(config: ExperimentConfig,
     """The client shards of `pair` under the config's family: the family's
     `FAMILIES` call with the spec keys it reads, `dataset_b` loaded first."""
     het = config.heterogeneity
-    family = FAMILIES[het.family]
-    values = {key: getattr(het, key) for key in family.keys}
+    values = het.family_values()
     if "dataset_b" in values:
         values["dataset_b"] = load_dataset_pair(het.dataset_b,
                                                 child_seed(config.seed, 0xB))
-    return family.partition(pair, het.effective_clients_per_cluster(), config.seed,
-                            **values)
+    return FAMILIES[het.family].partition(pair, het.effective_clients_per_cluster(),
+                                          config.seed, **values)
 
 
 def build_architectures(config: ExperimentConfig,

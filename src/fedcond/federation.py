@@ -419,16 +419,21 @@ def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     personal = [init_params(arch, np.random.default_rng(seed)) for _ in shards]
     personal_rngs = [np.random.default_rng(seed) for _ in shards]
     personal_states = [opt.clone_config() for _ in shards]
-    _, passes = cfg.schedule
+    rounds, passes = cfg.schedule
+    mixes = 0
 
     def mix(models, lr):
         # personal pull targets the freshly aggregated global parameters
+        nonlocal mixes
+        mixes += 1
         for i, shard in enumerate(shards):
             personal_states[i].learning_rate = lr
             train_sgd(personal[i], arch, shard.train.X, shard.train.y,
                       personal_states[i], passes,
                       personal_rngs[i], prox_target=models[0],
                       prox_lambda=cfg.ditto_lambda, out=personal[i])
+            if mixes == rounds:
+                personal_states[i] = None  # nothing reads its momentum after its last pass
 
     _, records = _run_rounds(
         [s.train for s in shards], arch, opt, cfg, seed, mix,

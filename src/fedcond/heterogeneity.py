@@ -359,11 +359,13 @@ def paired_covariate_sets(class_count: int, C: int) -> list[list[int]]:
 
 class Family(NamedTuple):
     """The `HeterogeneitySpec` keys a family reads besides `clients_per_cluster`
-    and `sparsity`, and `partition(data, clients_per_cluster, seed, **values)`
-    given their values (rule names; `dataset_b` as its loaded pair)."""
+    and `sparsity`, `partition(data, clients_per_cluster, seed, **values)`
+    given their values (rule names; `dataset_b` as its loaded pair), and
+    `clusters(**values)`, the family's cluster count (K by default)."""
 
     keys: tuple[str, ...]
     partition: Callable[..., list[ClientShard]]
+    clusters: Callable[..., int] = lambda K, **_: K
 
 
 def _rules(names: list[str], data: DatasetPair) -> list[LabelRule]:
@@ -377,11 +379,14 @@ FAMILIES = {
                                                class_blocks(d.train.class_count, K), cpc, seed)),
     "E2b": Family(("K",), lambda d, cpc, seed, K: partition_covariate_rotation(d, K, cpc, seed)),
     "E3a": Family(("rules",), lambda d, cpc, seed, rules:
-                  partition_concept_semantic(d, _rules(rules, d), cpc, seed)),
+                  partition_concept_semantic(d, _rules(rules, d), cpc, seed),
+                  clusters=lambda rules: len(rules)),
     "E3b": Family(("K",), lambda d, cpc, seed, K: partition_concept_permutation(d, K, cpc, seed)),
     "E4a": Family(("dataset_b",), lambda d, cpc, seed, dataset_b:
-                  partition_domain_shift(d, dataset_b, cpc, seed)),
+                  partition_domain_shift(d, dataset_b, cpc, seed),
+                  clusters=lambda dataset_b: 2),
     "E4b": Family(("rules", "covariate_clusters"), lambda d, cpc, seed, rules, covariate_clusters:
                   partition_combined(d, _rules(rules, d), paired_covariate_sets(
-                      d.train.class_count, covariate_clusters), cpc, seed)),
+                      d.train.class_count, covariate_clusters), cpc, seed),
+                  clusters=lambda rules, covariate_clusters: 2 * covariate_clusters),
 }

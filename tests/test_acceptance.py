@@ -192,7 +192,8 @@ def test_criterion_05_sparsity_robustness(outdir):
 # --------------------------------------------------------------- criterion 6
 
 def test_criterion_06_strategy_degeneracies():
-    from fedcond.data import DatasetPair, synth_glyphs
+    from data_helpers import synth_glyphs
+    from fedcond.data import DatasetPair
     from fedcond.heterogeneity import partition_label_shift
     pair = DatasetPair(train=synth_glyphs(60, seed=1), test=synth_glyphs(15, seed=2))
     shards = partition_label_shift(pair, K=2, clients_per_cluster=2, seed=3)
@@ -333,7 +334,7 @@ def test_criterion_10_e4b_analogue_with_declared_limits(outdir):
 
 def test_cnn_full_protocol_smoke():
     # the 28x28 conv stack exists and one epoch reduces pooled training loss
-    from fedcond.data import synth_glyphs
+    from data_helpers import synth_glyphs
     ds = synth_glyphs(12, seed=5)
     arch = nn.cnn_architecture(10, hidden_dim=128, stats_dim=0)
     params = nn.init_params(arch, SEED)

@@ -1,6 +1,7 @@
 """Dataset ingestion/generation tests: IDX format, rotations, synthetics."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcond import data
+
+from data_helpers import rotate_image, synth_glyphs
 
 
 def write_bytes(path, blob):
@@ -81,7 +84,7 @@ def test_load_idx_scaling_matches_two_step_expression(tmp_path):
 
 
 def test_idx_round_trip(tmp_path):
-    ds = data.synth_glyphs(3, seed=0)
+    ds = synth_glyphs(3, seed=0)
     data.write_idx(ds, tmp_path / "i", tmp_path / "l")
     back = data.load_idx(tmp_path / "i", tmp_path / "l")
     assert back.y.tolist() == ds.y.tolist()
@@ -92,33 +95,33 @@ def test_idx_round_trip(tmp_path):
 
 def test_rotation_angle_zero_is_identity():
     img = np.arange(16.0).reshape(4, 4)
-    assert np.array_equal(data.rotate_image(img, 0), img)
+    assert np.array_equal(rotate_image(img, 0), img)
 
 
 def test_rotation_90_on_2x2_hand_enumerated():
     # [[a, b],     rotate 90 ccw      [[b, d],
     #  [c, d]]   ---------------->     [a, c]]
     img = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert data.rotate_image(img, 90).tolist() == [[2.0, 4.0], [1.0, 3.0]]
+    assert rotate_image(img, 90).tolist() == [[2.0, 4.0], [1.0, 3.0]]
     hot = np.zeros((2, 2))
     hot[0, 0] = 1.0
-    assert data.rotate_image(hot, 90).tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert rotate_image(hot, 90).tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 def test_rotation_rejects_other_angles():
     with pytest.raises(ValueError):
-        data.rotate_image(np.zeros((2, 2)), 45)
+        rotate_image(np.zeros((2, 2)), 45)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_rotation_group_laws(seed):
     img = np.random.default_rng(seed).random((6, 6))
-    r90 = lambda im: data.rotate_image(im, 90)
+    r90 = lambda im: rotate_image(im, 90)
     assert np.array_equal(r90(r90(r90(r90(img)))), img)
-    assert np.array_equal(data.rotate_image(img, 180), r90(r90(img)))
+    assert np.array_equal(rotate_image(img, 180), r90(r90(img)))
     assert np.array_equal(
-        data.rotate_image(data.rotate_image(img, 180), 180), img)
+        rotate_image(rotate_image(img, 180), 180), img)
 
 
 def test_rotate_rows_matches_per_image_rotation():
@@ -126,7 +129,7 @@ def test_rotate_rows_matches_per_image_rotation():
     X = rng.random((5, 12))
     rot = data.rotate_rows(X, (3, 4), 90)
     for i in range(5):
-        expected = data.rotate_image(X[i].reshape(3, 4), 90).ravel()
+        expected = rotate_image(X[i].reshape(3, 4), 90).ravel()
         assert np.array_equal(rot[i], expected)
 
 
@@ -137,7 +140,7 @@ def test_rotate_rows_returns_a_fresh_c_ordered_copy(angle, order):
     rot = data.rotate_rows(X, (3, 4), angle)
     assert rot.flags.c_contiguous and not np.shares_memory(rot, X)
     for i in range(5):
-        expected = data.rotate_image(X[i].reshape(3, 4), angle).ravel()
+        expected = rotate_image(X[i].reshape(3, 4), angle).ravel()
         assert np.array_equal(rot[i], expected)
 
 
@@ -179,8 +182,8 @@ def test_synth_clusters_rejects_degenerate_covariance():
 # --------------------------------------------------------------------- glyphs
 
 def test_glyphs_deterministic_in_range_all_classes():
-    a = data.synth_glyphs(20, seed=9)
-    b = data.synth_glyphs(20, seed=9)
+    a = synth_glyphs(20, seed=9)
+    b = synth_glyphs(20, seed=9)
     assert np.array_equal(a.X, b.X)
     assert a.X.min() >= 0.0 and a.X.max() <= 1.0
     assert sorted(set(a.y.tolist())) == list(range(10))
@@ -188,8 +191,8 @@ def test_glyphs_deterministic_in_range_all_classes():
 
 
 def test_glyphs_invert_flips_contrast_keeps_labels():
-    plain = data.synth_glyphs(5, seed=4)
-    inv = data.synth_glyphs(5, seed=4, invert=True)
+    plain = synth_glyphs(5, seed=4)
+    inv = synth_glyphs(5, seed=4, invert=True)
     assert np.allclose(plain.X + inv.X, 1.0)
     assert np.array_equal(plain.y, inv.y)
 
@@ -227,11 +230,47 @@ def reference_synth_glyphs(n_per_class, seed, invert=False):
 @pytest.mark.parametrize("n_per_class", [1, 3, 40, 200])
 def test_glyphs_bit_identical_to_per_sample_reference(n_per_class, invert):
     seed = 1000 + n_per_class
-    ds = data.synth_glyphs(n_per_class, seed=seed, invert=invert)
+    ds = synth_glyphs(n_per_class, seed=seed, invert=invert)
     X, y = reference_synth_glyphs(n_per_class, seed, invert=invert)
     assert np.array_equal(ds.X, X)
     assert np.array_equal(np.signbit(ds.X), np.signbit(X))
     assert np.array_equal(ds.y, y)
+
+
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("n_per_class", [1, 3, 40])
+def test_glyph_rows_match_the_whole_split_for_any_order(n_per_class, invert):
+    """`rows` writes the whole split's rows bit for bit, signbit included, for
+    an order that repeats a row and leaves out whole digits: a digit with no
+    selected rows still makes its draws."""
+    source = data.GlyphSource(n_per_class, seed=70 + n_per_class, invert=invert)
+    whole = source.dataset().X
+    rng = np.random.default_rng(n_per_class)
+    kept = np.flatnonzero(~np.isin(source.y, [0, 4, 9]))
+    order = rng.permutation(kept)[: max(1, len(kept) * 2 // 3)]
+    order = np.append(order, order[0])
+    out = np.empty((len(order), whole.shape[1]))
+    source.rows(order, out)
+    assert np.array_equal(out, whole[order])
+    assert np.array_equal(np.signbit(out), np.signbit(whole[order]))
+
+
+@pytest.mark.parametrize("n_per_class", [100, 1000])
+def test_glyph_rows_peak_memory_is_about_three_digit_blocks(n_per_class):
+    """Drawing a whole split holds about three blocks of one digit's rows at
+    its peak (the noise block, the image buffer, and the gathered windows or
+    copied-out rows in flight), never a copy of every shifted template."""
+    # the first call in a process allocates for numpy's lazy imports
+    data.GlyphSource(1, seed=0).rows(np.arange(10), np.empty((10, 784)))
+    out = np.empty((10 * n_per_class, 784))
+    source = data.GlyphSource(n_per_class, seed=8)
+    tracemalloc.start()
+    try:
+        source.rows(np.arange(10 * n_per_class), out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * n_per_class * 784 * 8
 
 
 def test_glyph_pair_train_test_disjoint_seeds():
@@ -243,7 +282,7 @@ def test_glyph_pair_train_test_disjoint_seeds():
 # ------------------------------------------------------------------ utilities
 
 def test_subsample_per_class_caps_counts():
-    ds = data.synth_glyphs(30, seed=0)
+    ds = synth_glyphs(30, seed=0)
     capped = data.subsample_per_class(ds, 7, seed=1)
     counts = np.bincount(capped.y, minlength=10)
     assert counts.tolist() == [7] * 10

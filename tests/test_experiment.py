@@ -85,15 +85,16 @@ def test_missing_idx_files_rejected_at_validation(tmp_path):
 
 
 # per family, a value other than the default for every key that `FAMILIES`
-# lists for it; E4a has no default `dataset_b`, so its configs always set one
+# lists for it; E4a has no default `dataset_b`, so its configs always set one.
+# The rules share their arity, 2, at any class count from 2 up.
 CHANGED_KEYS = {
     "E1": {"K": 3},
     "E2a": {"K": 3, "superclass": "threshold5"},
     "E2b": {"K": 4},
-    "E3a": {"rules": ["antiparity", "threshold5"]},
+    "E3a": {"rules": ["antiparity", "parity"]},
     "E3b": {"K": 3},
     "E4a": {"dataset_b": dict(TINY["dataset"], invert=True)},
-    "E4b": {"rules": ["antiparity", "threshold5"], "covariate_clusters": 3},
+    "E4b": {"rules": ["antiparity", "parity"], "covariate_clusters": 3},
 }
 DATASETS = {
     "glyphs": TINY["dataset"],
@@ -140,6 +141,33 @@ def test_every_key_a_family_reads_changes_its_partition(family, key):
     shards = [build_partition(cfg, load_dataset_pair(cfg.dataset, cfg.seed))
               for cfg in (base, changed)]
     assert shard_signature(shards[0]) != shard_signature(shards[1])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("changed", [False, True])
+def test_client_count_is_the_partitions_shard_count(family, changed):
+    """`HeterogeneitySpec.client_count`, which config validation reads, is
+    the number of shards the family's partition makes."""
+    cfg = family_config(family, **(CHANGED_KEYS[family] if changed else {}))
+    shards = build_partition(cfg, load_dataset_pair(cfg.dataset, cfg.seed))
+    assert len(shards) == cfg.heterogeneity.client_count()
+
+
+def test_rule_arities_are_checked_with_the_idx_class_count(tmp_path):
+    """For `idx` data the rules' arities follow from the class count in the
+    train labels file; an unreadable labels file leaves the check to the
+    dataset stage."""
+    source = glyph_pair(3, 2, seed=1)
+    for split, (images, labels) in zip((source.train, source.test),
+                                       (MNIST_FILES[:2], MNIST_FILES[2:])):
+        write_idx(split.dataset(), tmp_path / images, tmp_path / labels)
+    doc = json.loads(json.dumps(TINY))
+    doc["dataset"] = {"kind": "idx", "name": "mnist", "root": str(tmp_path)}
+    doc["heterogeneity"] = {"family": "E3a", "rules": ["identity", "parity"]}
+    with pytest.raises(ConfigError, match=r"output arity: \[2, 10\]"):
+        ExperimentConfig.from_dict(doc)
+    (tmp_path / MNIST_FILES[1]).write_bytes(b"")
+    ExperimentConfig.from_dict(doc)
 
 
 def test_sparsity_level_overrides_clients_per_cluster():
@@ -716,6 +744,17 @@ def test_cli_rejects_bad_config(tmp_path):
      "family 'E1' with sparsity 'Rich' does not read keys: ['clients_per_cluster']"),
     ({"heterogeneity": {"family": "E4a", "dataset_b": {"kind": "glyphs", "root": "x"}}},
      "heterogeneity.dataset_b: dataset kind 'glyphs' does not read keys: ['root']"),
+    ({"heterogeneity": {"family": "E1", "K": 1, "clients_per_cluster": 1},
+      "strategies": ["local", "gossip"]}, "gossip needs at least 2 clients, got 1"),
+    ({"heterogeneity": {"family": "E3a", "rules": ["parity"], "clients_per_cluster": 1},
+      "strategies": ["dac"]}, "dac needs at least 2 clients, got 1"),
+    ({"heterogeneity": {"family": "E3a", "rules": ["identity", "parity"]}},
+     "label rules disagree on output arity: [2, 10]"),
+    ({"heterogeneity": {"family": "E4b", "rules": ["identity", "parity"]}},
+     "label rules disagree on output arity: [2, 10]"),
+    ({"dataset": {"kind": "synthetic", "per_class_cap": None},
+      "heterogeneity": {"family": "E3a", "rules": ["parity", "identity"]}},
+     "label rules disagree on output arity: [2, 4]"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
         "ifca-rounds-ignored", "fedavg-k-ignored", "fedavg-lr-schedule",
@@ -728,7 +767,8 @@ def test_cli_rejects_bad_config(tmp_path):
         "synthetic-test-per-class-0", "dataset-b-test-per-class-0", "E3a-K",
         "E4b-K", "E1-rules", "E1-superclass", "E1-covariate-clusters",
         "E1-dataset-b", "glyphs-root", "synthetic-invert", "rules-str",
-        "sparsity-with-clients-per-cluster", "dataset-b-glyphs-root"])
+        "sparsity-with-clients-per-cluster", "dataset-b-glyphs-root", "gossip-one-client",
+        "dac-one-client", "E3a-arity", "E4b-arity", "synthetic-E3a-arity"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)

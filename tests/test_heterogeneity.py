@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fedcond import heterogeneity as het
-from fedcond.data import Dataset, DatasetPair, GlyphSource, subsample_per_class, synth_glyphs
+from fedcond.data import Dataset, DatasetPair, GlyphSource, subsample_per_class
+
+from data_helpers import synth_glyphs
 
 
 def tiny_pair(train_per_class=30, test_per_class=10, seed=0) -> DatasetPair:

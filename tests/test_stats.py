@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcond import stats
-from fedcond.data import (DatasetPair, GaussianClusterSpec, synth_clusters,
-                          synth_glyphs)
+from fedcond.data import DatasetPair, GaussianClusterSpec, synth_clusters
 from fedcond.heterogeneity import ClientShard, partition_label_shift
+
+from data_helpers import synth_glyphs
 
 
 def explicit_cov_eigs(Z, l):
