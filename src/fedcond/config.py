@@ -14,9 +14,10 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
+from typing import NamedTuple
 
 from .data import MNIST_FILES, GlyphSource, IdxError, idx_class_count
-from .heterogeneity import FAMILIES, NAMED_RULES, SPARSITY_LEVELS
+from .heterogeneity import FAMILIES, NAMED_RULES, ROTATION_ORDER, SPARSITY_LEVELS
 from .nn import ARCHITECTURE_KINDS
 
 DATA_ROOT_ENV = "FEDCOND_DATA_ROOT"
@@ -173,6 +174,9 @@ class HeterogeneitySpec:
         if self.family == "E4b" and self.covariate_clusters < 2:
             raise ConfigError(f"family E4b needs covariate_clusters >= 2, "
                               f"got {self.covariate_clusters}")
+        if self.family == "E2b" and self.K > len(ROTATION_ORDER):
+            raise ConfigError(f"family E2b needs K <= {len(ROTATION_ORDER)}, one rotation "
+                              f"per cluster, got {self.K}")
 
     def effective_clients_per_cluster(self) -> int:
         if self.sparsity is not None:
@@ -220,16 +224,30 @@ class TrainingSpec:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
-# the StrategyConfig fields a strategy entry of each kind may set; `kind` names
-# the entry and `lr_schedule` is the run's `training.lr_schedule`
-_ROUNDS = ("rounds", "local_epochs_per_round")
-STRATEGY_KEYS = {
-    "conditional": ("epochs",), "local": ("epochs",), "fedavg": _ROUNDS,
-    "gossip": _ROUNDS + ("gossip_pairs_per_round",), "oracle": ("epochs",),
-    "ifca": ("local_epochs_per_round", "k_hypotheses", "ifca_refinement_rounds"),
-    "dac": _ROUNDS + ("dac_temperature",), "ditto": _ROUNDS + ("ditto_lambda",),
+class StrategyKind(NamedTuple):
+    """A strategy kind's static facts (`federation.STRATEGY_FNS` holds how it
+    trains): the `StrategyConfig` fields that count its rounds and its passes
+    per round (None: one pass), the other fields an entry of the kind may set
+    besides `kind`, and the fewest clients it trains."""
+
+    rounds: str
+    passes: str | None = None
+    reads: tuple[str, ...] = ()
+    min_clients: int = 1
+
+
+_PASSES = "local_epochs_per_round"
+STRATEGIES = {
+    "conditional": StrategyKind("epochs"),
+    "local": StrategyKind("epochs"),
+    "fedavg": StrategyKind("rounds", _PASSES),
+    "gossip": StrategyKind("rounds", _PASSES, ("gossip_pairs_per_round",), min_clients=2),
+    "oracle": StrategyKind("epochs"),
+    "ifca": StrategyKind("ifca_refinement_rounds", _PASSES, ("k_hypotheses",)),
+    "dac": StrategyKind("rounds", _PASSES, ("dac_temperature",), min_clients=2),
+    "ditto": StrategyKind("rounds", _PASSES, ("ditto_lambda",)),
 }
-STRATEGY_KINDS = tuple(STRATEGY_KEYS)
+STRATEGY_KINDS = tuple(STRATEGIES)
 
 
 @dataclass
@@ -274,15 +292,10 @@ class StrategyConfig:
 
     @property
     def schedule(self) -> tuple[int, int]:
-        """(rounds, passes per round), from the fields `STRATEGY_KEYS` lists
-        for the kind: the pooled kinds and Local run `epochs` rounds of one
-        pass, IFCA `ifca_refinement_rounds` rounds of `local_epochs_per_round`
-        passes, and the other federated kinds `rounds` rounds of them."""
-        if self.kind == "ifca":
-            return self.ifca_refinement_rounds, self.local_epochs_per_round
-        if "epochs" in STRATEGY_KEYS[self.kind]:
-            return self.epochs, 1
-        return self.rounds, self.local_epochs_per_round
+        """(rounds, passes per round): the values of the fields the kind's
+        `STRATEGIES` row names, one pass where it names none."""
+        row = STRATEGIES[self.kind]
+        return getattr(self, row.rounds), getattr(self, row.passes) if row.passes else 1
 
 
 def strategy_config(entry: dict, training: TrainingSpec) -> StrategyConfig:
@@ -292,8 +305,8 @@ def strategy_config(entry: dict, training: TrainingSpec) -> StrategyConfig:
     so all methods see the same number of passes over local data; IFCA spends
     the same budget as 5 refinement rounds. Every strategy runs the run's
     `training.lr_schedule`. An unknown key, a key the kind does not read
-    (`STRATEGY_KEYS`, which lists `lr_schedule` for no kind), or a value that
-    `StrategyConfig` rejects, raises ConfigError.
+    (its `STRATEGIES` row, which names `lr_schedule` for no kind), or a value
+    that `StrategyConfig` rejects, raises ConfigError.
     """
     entry = dict(entry)
     kind = entry.pop("kind", None)
@@ -304,7 +317,8 @@ def strategy_config(entry: dict, training: TrainingSpec) -> StrategyConfig:
                     local_epochs_per_round=1)
     cfg = StrategyConfig(kind=kind, **{**defaults, **entry,
                                        "lr_schedule": training.lr_schedule})
-    ignored = set(entry) - set(STRATEGY_KEYS[kind])
+    row = STRATEGIES[kind]
+    ignored = set(entry) - {row.rounds, row.passes, *row.reads}
     if ignored:
         raise ConfigError(f"{kind} strategy does not read keys: {sorted(ignored)}")
     if kind == "ifca" and "local_epochs_per_round" not in entry:
@@ -341,17 +355,26 @@ class ExperimentConfig:
         het.validate()
         self.stats.validate()
         self.training.validate()
+        # bounds from the class count; an unreadable count is left to [partition]
+        classes = self.dataset.class_count()
+        if classes is not None and het.family in ("E1", "E2a") and het.K > classes:
+            raise ConfigError(f"family {het.family} needs K <= the class count {classes}, "
+                              f"got {het.K}")
+        if classes is not None and het.family == "E4b" and het.covariate_clusters > classes // 2:
+            raise ConfigError(f"family E4b needs covariate_clusters <= {classes // 2}, half "
+                              f"the class count, got {het.covariate_clusters}")
         # the partition relabels by each rule, so their arities must agree
-        classes = self.dataset.class_count() if "rules" in FAMILIES[het.family].keys else None
-        if classes is not None:
+        if classes is not None and "rules" in FAMILIES[het.family].keys:
             arities = sorted({NAMED_RULES[name](classes).arity for name in het.rules})
             if len(arities) != 1:
                 raise ConfigError(f"heterogeneity: label rules disagree on output "
                                   f"arity: {arities}")
+        clients = het.client_count()
         for entry in self.strategies:
             kind = strategy_config(entry, self.training).kind
-            if kind in ("gossip", "dac") and het.client_count() < 2:
-                raise ConfigError(f"{kind} needs at least 2 clients, got {het.client_count()}")
+            least = STRATEGIES[kind].min_clients
+            if clients < least:
+                raise ConfigError(f"{kind} needs at least {least} clients, got {clients}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -209,7 +209,10 @@ def synth_clusters(cluster_specs: list[GaussianClusterSpec], n_per_cluster: int,
 # --------------------------------------------------------------------------
 
 def rotate_rows(X: np.ndarray, shape: tuple[int, int], angle: int) -> np.ndarray:
-    """Rotate every flattened image row of X counterclockwise by `angle` degrees."""
+    """Rotate every flattened image row of X counterclockwise by `angle`
+    degrees, a multiple of 90 (ValueError otherwise)."""
+    if angle % 90:
+        raise ValueError(f"rotation angle must be a multiple of 90, got {angle}")
     if angle == 0:
         return X.copy()
     h, w = shape

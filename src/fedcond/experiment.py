@@ -161,7 +161,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunReport:
             outcome = run_strategy(shards, arch, opt, cfg, config.seed)
         with _stage(f"evaluate:{cfg.kind}", timings):
             accs, mean_acc = evaluate(outcome, shards)
-        results.append(_strategy_result(outcome, cfg, shards, accs, mean_acc, true_ids))
+        results.append(_strategy_result(outcome, cfg, accs, mean_acc, true_ids))
     report = RunReport(
         run_id=config.name,
         config=config.to_dict(),
@@ -184,20 +184,17 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunReport:
     return report
 
 
-def _strategy_result(outcome: TrainedOutcome, cfg: StrategyConfig, shards, accs,
-                     mean_acc, true_ids) -> StrategyResult:
-    assignments = None
+def _strategy_result(outcome: TrainedOutcome, cfg: StrategyConfig, accs, mean_acc,
+                     true_ids) -> StrategyResult:
     ari = None
-    if outcome.assignments is not None:
-        assignments = [int(outcome.assignments[s.client_id]) for s in shards]
-        if len(shards) > 1:  # ARI compares pairs of clients
-            ari = compute_ari(true_ids, assignments)
+    if outcome.assignments is not None and len(true_ids) > 1:  # ARI compares pairs of clients
+        ari = compute_ari(true_ids, outcome.assignments)
     return StrategyResult(
         strategy=outcome.strategy,
-        per_client_accuracy=[accs[s.client_id] for s in shards],
+        per_client_accuracy=accs,
         mean_accuracy=mean_acc,
         ari=ari,
-        assignments=assignments,
+        assignments=outcome.assignments,
         schedule=list(cfg.schedule),
         train_log=outcome.log,
     )

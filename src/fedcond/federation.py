@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import StrategyConfig
+from .config import STRATEGIES, StrategyConfig
 from .data import Dataset
 from .heterogeneity import ClientShard
 from .nn import (Architecture, Fold, ModelParams, OptimizerState, forward,
@@ -46,14 +46,15 @@ def lr_at(base_lr: float, step: int, total: int, schedule: str) -> float:
 
 @dataclass
 class TrainedOutcome:
-    """What a strategy hands to evaluation: one parameter set per client
-    (possibly all sharing one), the architecture they run under (conditioned
-    on each client's fingerprint iff `arch.conditional`), plus diagnostics."""
+    """What a strategy hands to evaluation: in shard order, each client's model
+    (a kind that serves one model repeats it) and IFCA's or DAC's cluster
+    assignment; the architecture they run under (conditioned on each client's
+    fingerprint iff `arch.conditional`); and the round records."""
 
     strategy: str
     arch: Architecture
-    client_params: dict[int, ModelParams]
-    assignments: dict[int, int] | None = None
+    models: list[ModelParams]
+    assignments: list[int] | None = None
     log: list[dict] = field(default_factory=list)
 
 
@@ -81,10 +82,6 @@ def _pooled(shards: list[ClientShard]) -> Dataset:
     first = shards[0].train
     return Dataset(_span([s.train.X for s in shards]), _span([s.train.y for s in shards]),
                    first.class_count, first.input_shape)
-
-
-def _by_client(shards: list[ClientShard], values: list) -> dict:
-    return {s.client_id: v for s, v in zip(shards, values)}
 
 
 def _run_rounds(sets: list[Dataset], arch: Architecture, opt: OptimizerState,
@@ -194,8 +191,7 @@ def train_conditional(shards: list[ClientShard], arch: Architecture,
                            [len(s.train) for s in shards], axis=0)
     (params,), records = _run_rounds([_pooled(shards)], arch, opt, cfg, seed,
                                       lambda block, lr: None, stats_rows=[stats_rows])
-    return TrainedOutcome("conditional", arch, {s.client_id: params for s in shards},
-                          log=records)
+    return TrainedOutcome("conditional", arch, [params] * len(shards), log=records)
 
 
 def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
@@ -204,7 +200,7 @@ def train_local(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
     one pass, mixed with the identity."""
     params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
                                   lambda block, lr: None)
-    return TrainedOutcome("local", arch, _by_client(shards, params), log=records)
+    return TrainedOutcome("local", arch, params, log=records)
 
 
 def train_fedavg(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
@@ -215,7 +211,7 @@ def train_fedavg(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
         [s.train for s in shards], arch, opt, cfg, seed, lambda models, lr: None,
         assign=[0] * len(shards),
         round_loss=lambda losses: float(np.average(losses, weights=weights)))
-    return TrainedOutcome("fedavg", arch, _by_client(shards, params), log=records)
+    return TrainedOutcome("fedavg", arch, params, log=records)
 
 
 def _random_matching(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -228,8 +224,6 @@ def train_gossip(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
     """Decentralized random pairwise averaging: every round each client trains
     locally, then a random perfect matching is drawn (odd client out skips)
     and matched pairs adopt their unweighted mean."""
-    if len(shards) < 2:
-        raise ValueError("gossip needs at least 2 clients")
     match_rng = np.random.default_rng(child_seed(seed, 0x6055))
 
     def mix(block, lr):
@@ -243,7 +237,7 @@ def train_gossip(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
             block[a] = block[b] = pair.vector
 
     params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed, mix)
-    return TrainedOutcome("gossip", arch, _by_client(shards, params), log=records)
+    return TrainedOutcome("gossip", arch, params, log=records)
 
 
 def train_oracle(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
@@ -253,16 +247,14 @@ def train_oracle(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
         if s.cluster_id is None or s.cluster_id < 0:
             raise ValueError(f"client {s.client_id}: unknown cluster id")
     records: list[dict] = []
-    cluster_ids = sorted({s.cluster_id for s in shards})
-    client_params: dict[int, ModelParams] = {}
-    for k in cluster_ids:
+    models: dict[int, ModelParams] = {}
+    for k in sorted({s.cluster_id for s in shards}):
         members = [s for s in shards if s.cluster_id == k]
-        (params,), recs = _run_rounds([_pooled(members)], arch, opt, cfg, seed,
-                                      lambda block, lr: None)
+        (models[k],), recs = _run_rounds([_pooled(members)], arch, opt, cfg, seed,
+                                         lambda block, lr: None)
         records += [dict(r, cluster_id=k) for r in recs]
-        for s in members:
-            client_params[s.client_id] = params
-    return TrainedOutcome("oracle", arch, client_params, log=records)
+    return TrainedOutcome("oracle", arch, [models[s.cluster_id] for s in shards],
+                          log=records)
 
 
 def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
@@ -306,8 +298,7 @@ def train_ifca(shards: list[ClientShard], arch: Architecture, opt: OptimizerStat
     params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed,
                                   lambda models, lr: reassign(),
                                   models=models, assign=assign, round_loss=round_loss)
-    return TrainedOutcome("ifca", arch, _by_client(shards, params),
-                          assignments=_by_client(shards, assign), log=records)
+    return TrainedOutcome("ifca", arch, params, assignments=assign, log=records)
 
 
 MIX_CHUNK_ENTRIES = 1 << 19  # entries of one (N, chunk) temporary of the DAC mix
@@ -395,8 +386,6 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
     """Decentralized averaging with adaptive weights: after each local round,
     client i adopts sum_j w_ij * theta_j with w_i = softmax over clients of
     cos(theta_i, theta_j) / tau (self included, full topology)."""
-    if len(shards) < 2:
-        raise ValueError("dac needs at least 2 clients")
     weights_matrix = None
 
     def mix(block, lr):
@@ -405,8 +394,7 @@ def train_dac(shards: list[ClientShard], arch: Architecture, opt: OptimizerState
 
     params, records = _run_rounds([s.train for s in shards], arch, opt, cfg, seed, mix)
     clusters = _affinity_clusters(weights_matrix)
-    return TrainedOutcome("dac", arch, _by_client(shards, params),
-                          assignments=_by_client(shards, clusters), log=records)
+    return TrainedOutcome("dac", arch, params, assignments=clusters, log=records)
 
 
 def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
@@ -439,7 +427,7 @@ def train_ditto(shards: list[ClientShard], arch: Architecture, opt: OptimizerSta
         [s.train for s in shards], arch, opt, cfg, seed, mix,
         assign=[0] * len(shards),
         round_loss=lambda losses: float(np.average(losses, weights=weights)))
-    return TrainedOutcome("ditto", arch, _by_client(shards, personal), log=records)
+    return TrainedOutcome("ditto", arch, personal, log=records)
 
 
 STRATEGY_FNS = {
@@ -456,6 +444,9 @@ STRATEGY_FNS = {
 
 def run_strategy(shards: list[ClientShard], arch: Architecture, opt: OptimizerState,
                  cfg: StrategyConfig, seed: int) -> TrainedOutcome:
+    least = STRATEGIES[cfg.kind].min_clients
+    if len(shards) < least:
+        raise ValueError(f"{cfg.kind} needs at least {least} clients, got {len(shards)}")
     return STRATEGY_FNS[cfg.kind](shards, arch, opt, cfg, seed)
 
 
@@ -463,19 +454,16 @@ def run_strategy(shards: list[ClientShard], arch: Architecture, opt: OptimizerSt
 # evaluation
 # --------------------------------------------------------------------------
 
-def evaluate(outcome: TrainedOutcome, shards: list[ClientShard]) -> tuple[dict[int, float], float]:
-    """Per-client test accuracy (argmax correctness on the client's own test
-    shard, conditioned on its fingerprint iff the model is conditional) and
-    the unweighted mean across clients."""
-    accs: dict[int, float] = {}
-    for shard in shards:
-        if len(shard.test) == 0:
-            raise ValueError(f"client {shard.client_id}: empty test shard")
-        if shard.client_id not in outcome.client_params:
-            raise ValueError(f"outcome does not cover client {shard.client_id}")
+def evaluate(outcome: TrainedOutcome, shards: list[ClientShard]) -> tuple[list[float], float]:
+    """Each client's test accuracy in shard order (argmax correctness on the
+    client's own test shard, conditioned on its fingerprint iff the model is
+    conditional) and the unweighted mean across clients."""
+    if len(outcome.models) != len(shards):
+        raise ValueError(f"outcome covers {len(outcome.models)} clients, not {len(shards)}")
+    accs = []
+    for model, shard in zip(outcome.models, shards):
         stats = shard.stats if outcome.arch.conditional else None
-        logits = forward(outcome.client_params[shard.client_id], outcome.arch,
-                         shard.test.X, stats=stats)
+        logits = forward(model, outcome.arch, shard.test.X, stats=stats)
         pred = logits.argmax(axis=1)
-        accs[shard.client_id] = float(np.mean(pred == shard.test.y))
-    return accs, float(np.mean(list(accs.values())))
+        accs.append(float(np.mean(pred == shard.test.y)))
+    return accs, float(np.mean(accs))

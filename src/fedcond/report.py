@@ -58,7 +58,7 @@ def build_identifier() -> str:
 @dataclass
 class StrategyResult:
     strategy: str
-    per_client_accuracy: list[float]          # ordered by client id
+    per_client_accuracy: list[float]          # in shard order, as `client_ids`
     mean_accuracy: float
     ari: float | None = None
     assignments: list[int] | None = None

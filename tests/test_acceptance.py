@@ -204,19 +204,17 @@ def test_criterion_06_strategy_degeneracies():
     ic = train_ifca(shards, arch, opt,
                     StrategyConfig("ifca", k_hypotheses=1,
                                    ifca_refinement_rounds=6), SEED)
-    d_ifca = dist(fa.client_params[0], ic.client_params[0])
+    d_ifca = dist(fa.models[0], ic.models[0])
 
     lo = train_local(shards, arch, opt, StrategyConfig("local", epochs=6), SEED)
     di = train_ditto(shards, arch, opt,
                      StrategyConfig("ditto", rounds=6, ditto_lambda=0.0), SEED)
-    d_ditto = max(dist(lo.client_params[c], di.client_params[c])
-                  for c in lo.client_params)
+    d_ditto = max(dist(a, b) for a, b in zip(lo.models, di.models, strict=True))
 
     go = train_gossip(shards, arch, opt,
                       StrategyConfig("gossip", rounds=6, gossip_pairs_per_round=0),
                       SEED)
-    d_gossip = max(dist(lo.client_params[c], go.client_params[c])
-                   for c in lo.client_params)
+    d_gossip = max(dist(a, b) for a, b in zip(lo.models, go.models, strict=True))
 
     one_cluster = [ClientShard(s.client_id, 0, s.train, s.test) for s in shards]
     orc = train_oracle(one_cluster, arch, opt, StrategyConfig("oracle", epochs=6), SEED)
@@ -227,7 +225,7 @@ def test_criterion_06_strategy_degeneracies():
     state = opt.clone_config()
     for _ in range(6):
         central, _ = nn.train_sgd(central, arch, X, y, state, 1, rng)
-    d_oracle = dist(orc.client_params[0], central)
+    d_oracle = dist(orc.models[0], central)
 
     for name, d in [("ifca(K=1)=fedavg", d_ifca), ("ditto(0)=local", d_ditto),
                     ("gossip(0)=local", d_gossip), ("oracle(K=1)=centralized", d_oracle)]:

@@ -144,6 +144,13 @@ def test_rotate_rows_returns_a_fresh_c_ordered_copy(angle, order):
         assert np.array_equal(rot[i], expected)
 
 
+def test_rotate_rows_takes_only_quarter_turns():
+    X = np.random.default_rng(2).random((5, 12))
+    with pytest.raises(ValueError, match="multiple of 90, got 45"):
+        data.rotate_rows(X, (3, 4), 45)
+    assert np.array_equal(data.rotate_rows(X, (3, 4), -90), data.rotate_rows(X, (3, 4), 270))
+
+
 # ------------------------------------------------------------------ synthetic
 
 def test_synth_clusters_deterministic_and_labeled():

@@ -120,7 +120,10 @@ def test_config_round_trips_through_dict(tmp_path, family, kind):
     for fname in MNIST_FILES:
         (tmp_path / fname).touch()
     dataset = dict(DATASETS[kind], **({"root": str(tmp_path)} if kind == "idx" else {}))
-    doc = family_config(family, **CHANGED_KEYS[family]).to_dict()
+    keys = CHANGED_KEYS[family]
+    if (family, kind) == ("E4b", "synthetic"):  # 4 classes make at most 2 covariate clusters
+        keys = dict(keys, covariate_clusters=2)
+    doc = family_config(family, **keys).to_dict()
     cfg = ExperimentConfig.from_dict(dict(doc, dataset=dataset))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
@@ -510,9 +513,10 @@ def test_rerun_from_embedded_report_config_reproduces_accuracies(tiny_run, tmp_p
 
 def test_stage_error_names_failing_stage(tmp_path):
     doc = json.loads(json.dumps(TINY))
-    doc["heterogeneity"]["K"] = 11  # more clusters than classes
+    # 100 clients per cluster, more than a cluster of TINY has test rows
+    doc["heterogeneity"] = {"family": "E1", "K": 2, "sparsity": "SuperSparse"}
     cfg = ExperimentConfig.from_dict(doc)
-    with pytest.raises(StageError, match=r"\[partition\]"):
+    with pytest.raises(StageError, match=r"\[partition\] client \d+: empty shard"):
         run_experiment(cfg, out_dir=tmp_path)
     assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json*"))
 
@@ -529,6 +533,15 @@ def test_fingerprint_only_writes_stats_bundle(tmp_path):
 def suite_doc(grid):
     return {"name": "s", "seed": 5, "base": json.loads(json.dumps(TINY)),
             "grid": grid}
+
+
+def failing_suite_doc(sparsity):
+    """A suite over `heterogeneity.sparsity` on TINY. Its SuperSparse point
+    loads, then fails at [partition]: 100 clients per cluster are more than a
+    cluster has test rows, so a client's shard is empty."""
+    doc = suite_doc({"heterogeneity.sparsity": sparsity})
+    doc["base"]["heterogeneity"] = {"family": "E1", "K": 2}
+    return doc
 
 
 def test_child_seeds_pairwise_distinct():
@@ -571,8 +584,8 @@ def test_suite_runs_the_seed_its_grid_sets(tmp_path):
 
 @pytest.fixture(scope="module")
 def serial_suite(tmp_path_factory):
-    """A three-point suite run serially; its K=11 point fails."""
-    doc = suite_doc({"heterogeneity.K": [2, 3, 11]})
+    """A three-point suite run serially; its SuperSparse point fails."""
+    doc = failing_suite_doc(["Rich", "Medium", "SuperSparse"])
     suite = SuiteConfig(name=doc["name"], seed=doc["seed"], base=doc["base"],
                         grid=doc["grid"])
     out = tmp_path_factory.mktemp("serial_suite")
@@ -604,13 +617,14 @@ def test_cli_report_rebuilds_suite_summary_byte_for_byte(serial_suite, tmp_path)
 
 
 def test_suite_failure_isolation(tmp_path):
-    suite_cfg = suite_doc({"heterogeneity.K": [2, 11]})  # K=11 must fail
+    suite_cfg = failing_suite_doc(["Rich", "SuperSparse"])
     suite = SuiteConfig(name="s", seed=5, base=suite_cfg["base"],
                         grid=suite_cfg["grid"])
     summary = run_suite(suite, out_root=tmp_path)
     statuses = {s["run_id"]: s["status"] for s in summary["runs"]}
     assert summary["failed"] == 1
     assert sorted(statuses.values()) == ["error", "ok"]
+    assert "[partition]" in summary["runs"][1]["error"]
     assert (tmp_path / "suite_summary.csv").exists()
 
 
@@ -755,6 +769,15 @@ def test_cli_rejects_bad_config(tmp_path):
     ({"dataset": {"kind": "synthetic", "per_class_cap": None},
       "heterogeneity": {"family": "E3a", "rules": ["parity", "identity"]}},
      "label rules disagree on output arity: [2, 4]"),
+    ({"heterogeneity": {"family": "E2b", "K": 5}},
+     "family E2b needs K <= 4, one rotation per cluster, got 5"),
+    ({"heterogeneity": {"family": "E1", "K": 11}},
+     "family E1 needs K <= the class count 10, got 11"),
+    ({"dataset": {"kind": "synthetic", "per_class_cap": None},
+      "heterogeneity": {"family": "E2a", "K": 5}},
+     "family E2a needs K <= the class count 4, got 5"),
+    ({"heterogeneity": {"family": "E4b", "covariate_clusters": 20}},
+     "family E4b needs covariate_clusters <= 5, half the class count, got 20"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
         "ifca-rounds-ignored", "fedavg-k-ignored", "fedavg-lr-schedule",
@@ -768,7 +791,8 @@ def test_cli_rejects_bad_config(tmp_path):
         "E4b-K", "E1-rules", "E1-superclass", "E1-covariate-clusters",
         "E1-dataset-b", "glyphs-root", "synthetic-invert", "rules-str",
         "sparsity-with-clients-per-cluster", "dataset-b-glyphs-root", "gossip-one-client",
-        "dac-one-client", "E3a-arity", "E4b-arity", "synthetic-E3a-arity"])
+        "dac-one-client", "E3a-arity", "E4b-arity", "synthetic-E3a-arity", "E2b-K-5",
+        "E1-K-11", "synthetic-E2a-K-5", "E4b-covariate-clusters-20"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)
@@ -832,7 +856,7 @@ def test_cli_rejects_a_config_file_that_is_not_json(tmp_path, command, text):
 
 
 def test_cli_suite_exit_code_reflects_failures(tmp_path):
-    doc = suite_doc({"heterogeneity.K": [2, 11]})
+    doc = failing_suite_doc(["Rich", "SuperSparse"])
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(doc))
     r = run_cli("suite", str(path), "--out", str(tmp_path / "suite_out"))

@@ -8,7 +8,8 @@ import pytest
 
 from fedcond import federation as fed
 from fedcond import nn
-from fedcond.config import STRATEGY_KEYS, STRATEGY_KINDS
+from fedcond.config import (STRATEGIES, STRATEGY_KINDS, ConfigError, TrainingSpec,
+                            strategy_config)
 from fedcond.data import Dataset, DatasetPair, GaussianClusterSpec, synth_clusters
 from fedcond.heterogeneity import ClientShard, partition_domain_shift, partition_label_shift
 from fedcond.metrics import compute_ari
@@ -83,8 +84,8 @@ def test_ifca_k1_equals_fedavg():
     ic = fed.train_ifca(shards, arch, opt(),
                         fed.StrategyConfig("ifca", k_hypotheses=1,
                                            ifca_refinement_rounds=6), SEED)
-    assert dist(fa.client_params[0], ic.client_params[0]) == 0.0
-    assert set(ic.assignments.values()) == {0}
+    assert dist(fa.models[0], ic.models[0]) == 0.0
+    assert ic.assignments == [0] * len(shards)
 
 
 def test_ditto_lambda0_equals_local():
@@ -95,8 +96,20 @@ def test_ditto_lambda0_equals_local():
     di = fed.train_ditto(shards, arch, opt(),
                          fed.StrategyConfig("ditto", rounds=6, ditto_lambda=0.0),
                          SEED)
-    for cid in lo.client_params:
-        assert dist(lo.client_params[cid], di.client_params[cid]) == 0.0
+    for a, b in zip(lo.models, di.models, strict=True):
+        assert dist(a, b) == 0.0
+
+
+def test_ditto_global_branch_equals_fedavg():
+    """Ditto's personal passes leave its global branch alone: at the same
+    schedule its round records are FedAvg's but for the strategy name."""
+    shards = gaussian_shards()
+    arch = arch_for(shards)
+    schedule = dict(rounds=3, local_epochs_per_round=2)
+    fa = fed.train_fedavg(shards, arch, opt(), fed.StrategyConfig("fedavg", **schedule), SEED)
+    di = fed.train_ditto(shards, arch, opt(), fed.StrategyConfig("ditto", **schedule), SEED)
+    assert len(fa.log) == 3
+    assert [dict(r, strategy="fedavg") for r in di.log] == fa.log
 
 
 def test_gossip_zero_pairs_equals_local():
@@ -107,8 +120,8 @@ def test_gossip_zero_pairs_equals_local():
     go = fed.train_gossip(shards, arch, opt(),
                           fed.StrategyConfig("gossip", rounds=6,
                                              gossip_pairs_per_round=0), SEED)
-    for cid in lo.client_params:
-        assert dist(lo.client_params[cid], go.client_params[cid]) == 0.0
+    for a, b in zip(lo.models, go.models, strict=True):
+        assert dist(a, b) == 0.0
 
 
 def test_oracle_k1_equals_centralized_equals_single_client_fedavg():
@@ -120,14 +133,14 @@ def test_oracle_k1_equals_centralized_equals_single_client_fedavg():
     X = np.vstack([s.train.X for s in one_cluster])
     y = np.concatenate([s.train.y for s in one_cluster])
     central = centralized(X, y, arch, opt(), 6, SEED)
-    assert dist(orc.client_params[0], central) == 0.0
+    assert dist(orc.models[0], central) == 0.0
 
     merged_train = Dataset(X, y, 2, (2,))
     merged = [ClientShard(0, 0, merged_train, one_cluster[0].test)]
     fa = fed.train_fedavg(merged, arch, opt(),
                           fed.StrategyConfig("fedavg", rounds=1,
                                              local_epochs_per_round=6), SEED)
-    assert dist(fa.client_params[0], central) == 0.0
+    assert dist(fa.models[0], central) == 0.0
 
 
 def test_pooled_sets_of_a_partition_are_views_of_its_training_split():
@@ -163,7 +176,7 @@ def test_two_identical_clients_train_identical_local_models():
             ClientShard(1, 0, shards[0].train, shards[0].test)]
     out = fed.train_local(twin, arch_for(shards), opt(),
                           fed.StrategyConfig("local", epochs=4), SEED)
-    assert dist(out.client_params[0], out.client_params[1]) == 0.0
+    assert dist(out.models[0], out.models[1]) == 0.0
 
 
 def test_gossip_two_identical_clients_first_round_matches_fedavg():
@@ -175,7 +188,7 @@ def test_gossip_two_identical_clients_first_round_matches_fedavg():
                           fed.StrategyConfig("fedavg", rounds=1), SEED)
     go = fed.train_gossip(twin, arch, opt(),
                           fed.StrategyConfig("gossip", rounds=1), SEED)
-    assert dist(fa.client_params[0], go.client_params[0]) < 1e-12
+    assert dist(fa.models[0], go.models[0]) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["local", "fedavg", "gossip", "ifca", "dac", "ditto"])
@@ -200,20 +213,37 @@ def test_oracle_logs_each_clusters_rounds_tagged_with_its_id():
         [(k, rnd) for k in clusters for rnd in range(2)]
 
 
+@pytest.mark.parametrize("kind", [k for k in STRATEGY_KINDS if STRATEGIES[k].min_clients > 1])
+def test_run_strategy_rejects_fewer_clients_than_its_kind_needs(kind):
+    shards = gaussian_shards()[:1]
+    with pytest.raises(ValueError, match=f"{kind} needs at least 2 clients, got 1"):
+        fed.run_strategy(shards, arch_for(shards), opt(), fed.StrategyConfig(kind), SEED)
+
+
 def test_every_strategy_kind_has_a_training_function():
-    assert list(fed.STRATEGY_FNS) == list(STRATEGY_KEYS) == list(STRATEGY_KINDS)
+    assert list(fed.STRATEGY_FNS) == list(STRATEGIES) == list(STRATEGY_KINDS)
+
+
+def entry_may_set(kind, key):
+    try:
+        strategy_config({"kind": kind, key: 2}, TrainingSpec())
+    except ConfigError as exc:
+        assert "does not read keys" in str(exc)
+        return False
+    return True
 
 
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
 def test_schedule_reads_only_the_fields_its_kind_reads(kind):
     """Every schedule field gets a distinct value, so the values that come
-    back name the fields the schedule read: each must be one `STRATEGY_KEYS`
-    lists for the kind (or a constant single pass)."""
+    back name the fields the schedule read: each must be one that an entry
+    of the kind may set, as `strategy_config` decides (or a constant single
+    pass)."""
     values = {"epochs": 11, "rounds": 13, "local_epochs_per_round": 17,
               "ifca_refinement_rounds": 19}
     rounds, passes = fed.StrategyConfig(kind, **values).schedule
     field_of = {v: name for name, v in values.items()}
-    keys = STRATEGY_KEYS[kind]
+    keys = [key for key in values if entry_may_set(kind, key)]
     assert field_of[rounds] in keys
     assert passes == 1 or field_of[passes] in keys
     if passes == 1:
@@ -373,8 +403,7 @@ def test_ifca_pretrained_per_cluster_models_are_a_fixed_point():
                                             local_epochs_per_round=1),
                          SEED, initial_models=models)
     truth = [s.cluster_id for s in shards]
-    est = [out.assignments[s.client_id] for s in shards]
-    assert compute_ari(truth, est) == 1.0
+    assert compute_ari(truth, out.assignments) == 1.0
 
 
 def test_ifca_hypothesis_without_members_keeps_its_vector(monkeypatch):
@@ -396,7 +425,7 @@ def test_ifca_hypothesis_without_members_keeps_its_vector(monkeypatch):
                          fed.StrategyConfig("ifca", k_hypotheses=2,
                                             ifca_refinement_rounds=3),
                          SEED, initial_models=[nn.init_params(arch, 0), shunned])
-    assert set(out.assignments.values()) == {0}
+    assert set(out.assignments) == {0}
     used, idle = seen["models"]
     assert idle.vector.tobytes() == seen["before"][1]
     assert used.vector.tobytes() != seen["before"][0]
@@ -417,7 +446,7 @@ def test_ifca_defaults_to_one_hypothesis_per_true_cluster(monkeypatch, clusters)
     out = fed.train_ifca(shards, arch_for(shards), opt(),
                          fed.StrategyConfig("ifca", ifca_refinement_rounds=1), SEED)
     assert seen["K"] == clusters
-    assert set(out.assignments.values()) <= set(range(clusters))
+    assert set(out.assignments) <= set(range(clusters))
 
 
 def test_ifca_assignment_is_argmin_stable():
@@ -427,13 +456,11 @@ def test_ifca_assignment_is_argmin_stable():
                          fed.StrategyConfig("ifca", k_hypotheses=2,
                                             ifca_refinement_rounds=3), SEED)
     # recompute the e-step against each client's assigned model set
-    models = {}
-    for s in shards:
-        models[out.assignments[s.client_id]] = out.client_params[s.client_id]
+    models = dict(zip(out.assignments, out.models, strict=True))
     hypotheses = [models[k] for k in sorted(models)]
-    for s in shards:
+    for s, assigned in zip(shards, out.assignments, strict=True):
         losses = [fed.mean_shard_loss(m, arch, s) for m in hypotheses]
-        assert sorted(models)[int(np.argmin(losses))] == out.assignments[s.client_id]
+        assert sorted(models)[int(np.argmin(losses))] == assigned
 
 
 def test_ifca_on_domain_shift_recovers_clusters():
@@ -447,8 +474,7 @@ def test_ifca_on_domain_shift_recovers_clusters():
                                             ifca_refinement_rounds=5,
                                             local_epochs_per_round=2), SEED)
     truth = [s.cluster_id for s in shards]
-    est = [out.assignments[s.client_id] for s in shards]
-    assert compute_ari(truth, est) == 1.0
+    assert compute_ari(truth, out.assignments) == 1.0
 
 
 # ---------------------------------------------------------------------- ditto
@@ -461,8 +487,8 @@ def test_ditto_huge_lambda_pins_personal_to_global():
                           SEED)
     fa = fed.train_fedavg(shards, arch, opt(),
                           fed.StrategyConfig("fedavg", rounds=4), SEED)
-    for cid in out.client_params:
-        assert dist(out.client_params[cid], fa.client_params[cid]) < 1e-3
+    for a, b in zip(out.models, fa.models, strict=True):
+        assert dist(a, b) < 1e-3
 
 
 # ---------------------------------------------------------------- conditional
@@ -512,7 +538,7 @@ def test_conditional_single_client_is_centralized_with_constant_stats():
     stats_rows = np.tile(shards[0].stats, (len(shards[0].train), 1))
     central = centralized(shards[0].train.X, shards[0].train.y, arch, opt(), 5, SEED,
                           stats_rows=stats_rows)
-    assert dist(out.client_params[0], central) == 0.0
+    assert dist(out.models[0], central) == 0.0
 
 
 # ----------------------------------------------------------------- evaluation
@@ -523,7 +549,7 @@ def constant_predictor_outcome(shards, cls=0):
     for v in params.values.values():
         v[...] = 0.0
     params.values["out.b"][cls] = 1.0
-    return fed.TrainedOutcome("local", arch, {s.client_id: params for s in shards})
+    return fed.TrainedOutcome("local", arch, [params] * len(shards))
 
 
 def test_evaluate_counted_fixture():
@@ -551,7 +577,7 @@ def test_evaluate_constant_predictor_on_balanced_ten_classes():
     params = nn.init_params(arch, 0)
     for v in params.values.values():
         v[...] = 0.0
-    out = fed.TrainedOutcome("local", arch, {0: params})
+    out = fed.TrainedOutcome("local", arch, [params])
     _, mean = fed.evaluate(out, shard)
     assert mean == pytest.approx(0.1, abs=0.02)
 
