@@ -11,21 +11,22 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
 
-from .data import MNIST_FILES, GlyphSource, IdxError, idx_class_count
-from .heterogeneity import FAMILIES, NAMED_RULES, ROTATION_ORDER, SPARSITY_LEVELS
-from .nn import ARCHITECTURE_KINDS
+from .data import (GLYPH_SHAPE, MNIST_FILES, GlyphSource, IdxError, idx_class_count,
+                   idx_image_shape)
+from .heterogeneity import FAMILIES, NAMED_RULES, SPARSITY_LEVELS
+from .nn import ARCHITECTURE_KINDS, backbone
 
 DATA_ROOT_ENV = "FEDCOND_DATA_ROOT"
 
 # the DatasetSpec fields each kind reads besides `kind`, `name` and `per_class_cap`
 DATASET_KEYS = {"idx": ("root",), "glyphs": ("train_per_class", "test_per_class", "invert"),
                 "synthetic": ("train_per_class", "test_per_class")}
-GENERATED_CLASSES = {"glyphs": GlyphSource.class_count, "synthetic": 4}
+GENERATED_FACTS = {"glyphs": (GlyphSource.class_count, GLYPH_SHAPE), "synthetic": (4, (16,))}
 LR_SCHEDULES = ("constant", "cosine")
 
 
@@ -65,20 +66,32 @@ def read_json(path, what: str = "config"):
         raise ConfigError(f"{what} {str(path)!r} is not JSON: {exc}") from None
 
 
+def bounded(default, low, high=None, strict=False):
+    """A dataclass field whose value must be >= `low` (> with `strict`) and,
+    given `high`, < `high`; `check_field_types` checks the bound."""
+    text = (f"{'>' if strict else '>='} {low}" if high is None
+            else f"in {'(' if strict else '['}{low}, {high})")
+    return field(default=default, metadata={"bound": (
+        lambda v: (v > low if strict else v >= low) and (high is None or v < high), text)})
+
+
 def check_field_types(obj, where: str = "") -> None:
     """Raise ConfigError for a scalar dataclass field whose value does not
     have its declared type (`int`, `float`, `bool` or `str`, optionally
     `| None`; annotations are strings under `from __future__ import
-    annotations`). Other fields are left to the owner's checks."""
+    annotations`) or lies outside its `bounded` range. Other fields are left
+    to the owner's checks."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         optional = f.type.endswith(" | None")
-        accepts, description = _SCALAR_TYPES.get(f.type.removesuffix(" | None"),
-                                                 (None, None))
-        if accepts is None or (optional and value is None) or accepts(value):
+        if optional and value is None:
             continue
-        raise ConfigError(f"{where}{f.name} must be {description}"
-                          f"{' or null' if optional else ''}, got {value!r}")
+        checks = (_SCALAR_TYPES.get(f.type.removesuffix(" | None"), (None, None)),
+                  f.metadata.get("bound", (None, None)))
+        for accepts, description in checks:  # the type first: the bound compares
+            if accepts is not None and not accepts(value):
+                raise ConfigError(f"{where}{f.name} must be {description}"
+                                  f"{' or null' if optional else ''}, got {value!r}")
 
 
 @dataclass
@@ -86,9 +99,9 @@ class DatasetSpec:
     kind: str = "glyphs"
     name: str = "glyphs"
     root: str | None = None          # idx: directory with the four MNIST-style files
-    per_class_cap: int | None = 1000
-    train_per_class: int = 1000      # glyphs
-    test_per_class: int = 200        # glyphs
+    per_class_cap: int | None = bounded(1000, 1)
+    train_per_class: int = bounded(1000, 1)  # glyphs, synthetic
+    test_per_class: int = bounded(200, 1)    # glyphs, synthetic
     invert: bool = False             # glyphs: inverted-contrast domain
 
     def resolved_root(self) -> Path:
@@ -108,20 +121,17 @@ class DatasetSpec:
             for fname in MNIST_FILES:
                 if not (root / fname).exists():
                     raise ConfigError(f"missing dataset file: {root / fname}")
-        if self.per_class_cap is not None and self.per_class_cap <= 0:
-            raise ConfigError("per_class_cap must be positive or null")
-        for name in ("train_per_class", "test_per_class"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    def class_count(self) -> int | None:
-        """The class count of the pair this spec loads: fixed for a generated
-        kind, read from the train labels for `idx`, where a file that cannot
-        be read gives None and fails at the dataset stage."""
+    def facts(self) -> tuple[int, tuple[int, ...]] | None:
+        """(class count, input shape) of the pair this spec loads: fixed for a
+        generated kind; for `idx`, from the train labels and the train images
+        header, or None for a file that cannot be read (the dataset stage fails)."""
         if self.kind != "idx":
-            return GENERATED_CLASSES[self.kind]
+            return GENERATED_FACTS[self.kind]
+        root = self.resolved_root()
         try:
-            return idx_class_count(self.resolved_root() / MNIST_FILES[1])
+            return (idx_class_count(root / MNIST_FILES[1]),
+                    idx_image_shape(root / MNIST_FILES[0]))
         except IdxError:
             return None
 
@@ -129,8 +139,8 @@ class DatasetSpec:
 @dataclass
 class HeterogeneitySpec:
     family: str = "E1"
-    K: int = 2
-    clients_per_cluster: int = 5
+    K: int = bounded(2, 1)
+    clients_per_cluster: int = bounded(5, 1)
     sparsity: str | None = None           # named level; replaces clients_per_cluster
     # the keys below are read only by the families that `FAMILIES` lists them for
     superclass: str = "parity"
@@ -142,14 +152,9 @@ class HeterogeneitySpec:
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
         # a sparsity level sets the client count, so clients_per_cluster goes unread
-        if self.sparsity is None:
-            check_unread_keys(self, ("family", "clients_per_cluster", *FAMILIES[self.family].keys),
-                              f"family {self.family!r}")
-        else:
-            check_unread_keys(self, ("family", "sparsity", *FAMILIES[self.family].keys),
-                              f"family {self.family!r} with sparsity {self.sparsity!r}")
-        if self.K < 1:
-            raise ConfigError(f"heterogeneity.K must be >= 1, got {self.K}")
+        level = "" if self.sparsity is None else f" with sparsity {self.sparsity!r}"
+        check_unread_keys(self, ("family", "sparsity" if level else "clients_per_cluster",
+                                 *FAMILIES[self.family].keys), f"family {self.family!r}{level}")
         if not isinstance(self.rules, list):
             raise ConfigError(f"heterogeneity.rules must be a list of rule names, "
                               f"got {self.rules!r}")
@@ -160,23 +165,13 @@ class HeterogeneitySpec:
         if self.sparsity is not None and self.sparsity not in SPARSITY_LEVELS:
             raise ConfigError(f"unknown sparsity level {self.sparsity!r}; "
                               f"known: {sorted(SPARSITY_LEVELS)}")
-        if self.sparsity is None and self.clients_per_cluster < 1:
-            raise ConfigError("clients_per_cluster must be >= 1")
-        if self.family == "E4a":
+        if "dataset_b" in FAMILIES[self.family].keys:
             if self.dataset_b is None:
-                raise ConfigError("family E4a needs heterogeneity.dataset_b")
+                raise ConfigError(f"family {self.family} needs heterogeneity.dataset_b")
             try:
                 self.dataset_b.validate()
             except ConfigError as exc:
                 raise ConfigError(f"heterogeneity.dataset_b: {exc}") from None
-        if self.family == "E4b" and len(self.rules) != 2:
-            raise ConfigError("family E4b needs exactly 2 concept rules")
-        if self.family == "E4b" and self.covariate_clusters < 2:
-            raise ConfigError(f"family E4b needs covariate_clusters >= 2, "
-                              f"got {self.covariate_clusters}")
-        if self.family == "E2b" and self.K > len(ROTATION_ORDER):
-            raise ConfigError(f"family E2b needs K <= {len(ROTATION_ORDER)}, one rotation "
-                              f"per cluster, got {self.K}")
 
     def effective_clients_per_cluster(self) -> int:
         if self.sparsity is not None:
@@ -194,32 +189,22 @@ class HeterogeneitySpec:
 
 @dataclass
 class StatsSpec:
-    l: int = 32
-
-    def validate(self):
-        if self.l < 1:
-            raise ConfigError("stats.l must be >= 1")
+    l: int = bounded(32, 1)
 
 
 @dataclass
 class TrainingSpec:
     architecture: str = "mlp"  # mlp | mnist_cnn
-    hidden_dim: int = 128
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 64
-    epochs: int = 10
+    hidden_dim: int = bounded(128, 1)
+    learning_rate: float = bounded(0.01, 0, strict=True)
+    momentum: float = bounded(0.9, 0, 1)
+    batch_size: int = bounded(64, 1)
+    epochs: int = bounded(10, 1)
     lr_schedule: str = "constant"  # constant | cosine; applies to all strategies
 
     def validate(self):
         if self.architecture not in ARCHITECTURE_KINDS:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 1:
-            raise ConfigError("epochs, batch_size and hidden_dim must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("training.learning_rate must be > 0")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError("training.momentum must be in [0, 1)")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
 
@@ -256,14 +241,14 @@ class StrategyConfig:
     of how many passes the kind runs."""
 
     kind: str
-    epochs: int = 20
-    rounds: int = 20
-    local_epochs_per_round: int = 1
-    k_hypotheses: int | None = None
-    ifca_refinement_rounds: int = 5
-    ditto_lambda: float = 1.0
-    gossip_pairs_per_round: int | None = None  # None = full random matching
-    dac_temperature: float = 0.1
+    epochs: int = bounded(20, 1)
+    rounds: int = bounded(20, 1)
+    local_epochs_per_round: int = bounded(1, 1)
+    k_hypotheses: int | None = bounded(None, 1)
+    ifca_refinement_rounds: int = bounded(5, 1)
+    ditto_lambda: float = bounded(1.0, 0)
+    gossip_pairs_per_round: int | None = bounded(None, 0)  # None = full random matching
+    dac_temperature: float = bounded(0.1, 0, strict=True)
     lr_schedule: str = "constant"  # constant | cosine (decay to 5% over the run)
 
     def __post_init__(self):
@@ -271,22 +256,6 @@ class StrategyConfig:
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"{where}unknown strategy kind {self.kind!r}")
         check_field_types(self, where)
-        for name in ("epochs", "rounds", "local_epochs_per_round",
-                     "ifca_refinement_rounds"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{where}{name} must be an integer >= 1, "
-                                  f"got {value!r}")
-        pairs = self.gossip_pairs_per_round
-        if pairs is not None and pairs < 0:
-            raise ConfigError(f"{where}gossip_pairs_per_round must be null or an "
-                              f"integer >= 0, got {pairs!r}")
-        if self.ditto_lambda < 0:
-            raise ConfigError(f"{where}ditto_lambda must be >= 0")
-        if self.dac_temperature <= 0:
-            raise ConfigError(f"{where}dac_temperature must be > 0")
-        if self.k_hypotheses is not None and self.k_hypotheses < 1:
-            raise ConfigError(f"{where}k_hypotheses must be >= 1")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigError(f"{where}unknown lr_schedule {self.lr_schedule!r}")
 
@@ -302,8 +271,11 @@ def strategy_config(entry: dict, training: TrainingSpec) -> StrategyConfig:
     """Per-strategy `StrategyConfig`: training-spec defaults plus overrides.
 
     Every federated baseline defaults to `epochs` rounds of one local epoch,
-    so all methods see the same number of passes over local data; IFCA spends
-    the same budget as 5 refinement rounds. Every strategy runs the run's
+    as many passes over local data as the `epochs` epochs of `conditional`,
+    `local` and `oracle`. IFCA defaults to `ifca_refinement_rounds` (5)
+    rounds of round(epochs / 5) passes, at least 1: the same budget only
+    where 5 * round(epochs / 5) == epochs, so at `epochs: 1` it runs 5 passes
+    to the others' 1. Every strategy runs the run's
     `training.lr_schedule`. An unknown key, a key the kind does not read
     (its `STRATEGIES` row, which names `lr_schedule` for no kind), or a value
     that `StrategyConfig` rejects, raises ConfigError.
@@ -330,7 +302,7 @@ def strategy_config(entry: dict, training: TrainingSpec) -> StrategyConfig:
 @dataclass
 class ExperimentConfig:
     name: str = "run"
-    seed: int = 0
+    seed: int = bounded(0, 0)
     out_dir: str | None = None
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     heterogeneity: HeterogeneitySpec = field(default_factory=HeterogeneitySpec)
@@ -340,8 +312,6 @@ class ExperimentConfig:
 
     def validate(self):
         check_field_types(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         sections = {"dataset": self.dataset, "heterogeneity": self.heterogeneity,
                     "heterogeneity.dataset_b": self.heterogeneity.dataset_b,
                     "stats": self.stats, "training": self.training}
@@ -353,22 +323,24 @@ class ExperimentConfig:
         self.dataset.validate()
         het = self.heterogeneity
         het.validate()
-        self.stats.validate()
         self.training.validate()
-        # bounds from the class count; an unreadable count is left to [partition]
-        classes = self.dataset.class_count()
-        if classes is not None and het.family in ("E1", "E2a") and het.K > classes:
-            raise ConfigError(f"family {het.family} needs K <= the class count {classes}, "
-                              f"got {het.K}")
-        if classes is not None and het.family == "E4b" and het.covariate_clusters > classes // 2:
-            raise ConfigError(f"family E4b needs covariate_clusters <= {classes // 2}, half "
-                              f"the class count, got {het.covariate_clusters}")
-        # the partition relabels by each rule, so their arities must agree
-        if classes is not None and "rules" in FAMILIES[het.family].keys:
-            arities = sorted({NAMED_RULES[name](classes).arity for name in het.rules})
-            if len(arities) != 1:
-                raise ConfigError(f"heterogeneity: label rules disagree on output "
-                                  f"arity: {arities}")
+        # the family's and the backbone's preconditions on the data's (class
+        # count, input shape), or at the dataset stage for an unreadable idx
+        # file; the backbone takes the data's count, as a relabeling family
+        # has checked that its rules give at least 2 labels
+        facts, values = self.dataset.facts(), het.family_values()
+        if "dataset_b" in values:
+            values["dataset_b"] = het.dataset_b.facts()
+        if facts is not None and values.get("dataset_b", facts) is not None:
+            try:
+                FAMILIES[het.family].check(*facts, **values)
+            except ValueError as exc:
+                raise ConfigError(f"family {het.family} {exc}") from None
+            try:
+                backbone(self.training.architecture, facts[1], facts[0],
+                         self.training.hidden_dim)
+            except ValueError as exc:
+                raise ConfigError(f"training: {exc}") from None
         clients = het.client_count()
         for entry in self.strategies:
             kind = strategy_config(entry, self.training).kind
@@ -383,9 +355,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("a config must be a JSON object")
-        known = {"name", "seed", "out_dir", "dataset", "heterogeneity",
-                 "stats", "training", "strategies"}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -393,8 +363,7 @@ class ExperimentConfig:
             sub = {} if sub is None else sub
             if not isinstance(sub, dict):
                 raise ConfigError(f"{klass.__name__} must be an object, got {sub!r}")
-            names = {f for f in klass.__dataclass_fields__}
-            bad = set(sub) - names
+            bad = set(sub) - set(klass.__dataclass_fields__)
             if bad:
                 raise ConfigError(f"unknown {klass.__name__} keys: {sorted(bad)}")
             return klass(**sub)
@@ -438,14 +407,12 @@ class SuiteConfig:
     """
 
     name: str
-    seed: int
+    seed: int = bounded(MISSING, 0)
     base: dict
     grid: dict[str, list]
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.seed < 0:
-            raise ConfigError(f"suite seed must be >= 0, got {self.seed}")
+        check_field_types(self, "suite ")
         if not isinstance(self.base, dict):
             raise ConfigError(f"suite base must be an object, got {self.base!r}")
         if not (isinstance(self.grid, dict)

@@ -89,18 +89,23 @@ class DatasetPair:
 # IDX ingestion
 # --------------------------------------------------------------------------
 
-def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
-    raw = Path(path).read_bytes()
+def _idx_dims(raw: bytes, path, expected_magic: int) -> tuple[int, ...]:
+    """The dimensions in the header that starts `raw`, an IDX file's bytes."""
     if len(raw) < 4:
         raise IdxTruncatedError(f"{path}: shorter than a magic number")
     (magic,) = struct.unpack(">I", raw[:4])
     if magic != expected_magic:
         raise IdxMagicError(f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
     ndim = magic & 0xFF
-    header_len = 4 + 4 * ndim
-    if len(raw) < header_len:
+    if len(raw) < 4 + 4 * ndim:
         raise IdxTruncatedError(f"{path}: truncated dimension header")
-    dims = struct.unpack(f">{ndim}I", raw[4:header_len])
+    return struct.unpack(f">{ndim}I", raw[4:4 + 4 * ndim])
+
+
+def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
+    raw = Path(path).read_bytes()
+    dims = _idx_dims(raw, path, expected_magic)
+    header_len = 4 + 4 * len(dims)
     count = int(np.prod(dims))
     if len(raw) < header_len + count:
         raise IdxTruncatedError(f"{path}: header promises {count} bytes, "
@@ -133,6 +138,12 @@ def idx_class_count(labels_path) -> int:
     """The class count `load_idx` gives the labels in an IDX labels file."""
     labels = _read_idx(Path(labels_path), IDX_LABELS_MAGIC)
     return int(labels.max()) + 1 if len(labels) else 0
+
+
+def idx_image_shape(images_path) -> tuple[int, int]:
+    """The (h, w) `load_idx` gives an IDX images file, from its 16-byte header."""
+    with open(images_path, "rb") as f:
+        return tuple(_idx_dims(f.read(16), images_path, IDX_IMAGES_MAGIC)[1:])
 
 
 def write_idx(dataset: Dataset, images_path, labels_path) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (GENERATED_CLASSES, ConfigError, DatasetSpec, ExperimentConfig,
+from .config import (GENERATED_FACTS, ConfigError, DatasetSpec, ExperimentConfig,
                      StrategyConfig, SuiteConfig, strategy_config)
 from .data import (Dataset, DatasetPair, GaussianClusterSpec, glyph_pair,
                    load_mnist_like, subsample_per_class, synth_clusters)
@@ -26,7 +26,7 @@ from .federation import (OptimizerState, TrainedOutcome, child_seed, evaluate,
                          run_strategy)
 from .heterogeneity import FAMILIES, ClientShard
 from .metrics import compute_ari
-from .nn import Architecture, mlp_architecture
+from .nn import Architecture, backbone
 from .report import (PROVENANCE, RunReport, StrategyResult, aggregate_reports,
                      build_identifier, emit_report, thread_env)
 from .stats import fingerprint_all
@@ -84,7 +84,7 @@ def load_dataset_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
 
 def _synthetic_blob_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
     """Small Gaussian-blob classification task, one blob per class."""
-    classes, dim = GENERATED_CLASSES["synthetic"], 16
+    classes, (dim,) = GENERATED_FACTS["synthetic"]
     rng = np.random.default_rng(child_seed(seed, 0xB70B))
     means = rng.uniform(-1.5, 1.5, size=(classes, dim))
     specs = [GaussianClusterSpec(tuple(means[c]), 0.25, lambda x, c=c: c)
@@ -115,12 +115,9 @@ def build_architectures(config: ExperimentConfig,
                         shards: list[ClientShard]) -> Architecture:
     """The backbone for the partition's label space, which every strategy
     gets; a conditional strategy widens it by the fingerprint length."""
-    class_count = shards[0].train.class_count
-    tr = config.training
-    if tr.architecture == "mnist_cnn":  # one channel of the data's image shape
-        return Architecture("mnist_cnn", (1, *shards[0].train.input_shape),
-                            class_count, tr.hidden_dim)
-    return mlp_architecture(shards[0].train.X.shape[1], class_count, tr.hidden_dim)
+    train = shards[0].train
+    return backbone(config.training.architecture, train.input_shape, train.class_count,
+                    config.training.hidden_dim)
 
 
 def _fingerprinted_shards(config: ExperimentConfig, timings: dict | None = None

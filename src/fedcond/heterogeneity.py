@@ -21,9 +21,9 @@ so a pooled set of consecutive clients is a view too. A source row may be
 written more than once, as E4b gives each covariate set's rows to both
 concept groups.
 
-`FAMILIES` maps each family to the `HeterogeneitySpec` keys it reads and the
-generator call they feed; config validation and `experiment.build_partition`
-both read it.
+`FAMILIES` maps each family to the `HeterogeneitySpec` keys it reads, the
+generator call they feed, and the check that config validation runs on its
+preconditions: one function each, which the generator calls as well.
 """
 
 from __future__ import annotations
@@ -111,6 +111,20 @@ NAMED_RULES = {
     "antiparity": antiparity_rule,
     "threshold5": lambda c: threshold_rule(c, 5),
 }
+
+
+def rule_arity(rules: list[LabelRule], count: int | None = None) -> int:
+    """The output arity that `rules` share: ValueError unless they are
+    `count` (if given) and agree on an arity of at least 2."""
+    if count is not None and len(rules) != count:
+        raise ValueError(f"needs exactly {count} concept rules, got {len(rules)}")
+    arities = sorted({r.arity for r in rules})
+    if len(arities) != 1:
+        raise ValueError(f"label rules disagree on output arity: {arities}")
+    if arities[0] < 2:
+        raise ValueError(f"label rules {[r.name for r in rules]} map all "
+                         f"{len(rules[0].table)} classes to one label")
+    return arities[0]
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +230,7 @@ def class_blocks(class_count: int, K: int) -> list[list[int]]:
     C=10, K=3 -> [[0,1,2,3], [4,5,6], [7,8,9]].
     """
     if K > class_count:
-        raise ValueError(f"K={K} exceeds class count {class_count}")
+        raise ValueError(f"needs K <= the class count {class_count}, got {K}")
     return _contiguous_chunks(list(range(class_count)), K)
 
 
@@ -247,21 +261,28 @@ def partition_covariate_subclass(data: DatasetPair, superclass: LabelRule,
                                  clients_per_cluster: int, seed: int) -> list[ClientShard]:
     """E2a: every cluster predicts the shared superclass labels but only sees
     its own disjoint set of original subclasses."""
+    rule_arity([superclass])
     _check_disjoint(subclass_sets, "subclass assignment overlaps")
     clusters = [_class_cluster(data, classes, superclass) for classes in subclass_sets]
     return _assemble(clusters, clients_per_cluster, seed)
 
 
+def rotation_angles(K: int, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The rotations of E2b's K clusters of images of `input_shape`."""
+    if K > len(ROTATION_ORDER):
+        raise ValueError(f"needs K <= {len(ROTATION_ORDER)}, one rotation per cluster, got {K}")
+    if len(input_shape) != 2:
+        raise ValueError(f"needs 2-D images to rotate, got input_shape {tuple(input_shape)}")
+    return ROTATION_ORDER[:K]
+
+
 def partition_covariate_rotation(data: DatasetPair, K: int, clients_per_cluster: int,
                                  seed: int) -> list[ClientShard]:
     """E2b: cluster k sees images rotated by [0, 180, 90, 270][k]."""
-    if not 1 <= K <= len(ROTATION_ORDER):
-        raise ValueError(f"rotation family supports K in [1, 4], got {K}")
-    if len(data.train.input_shape) != 2:
-        raise ValueError("rotation partitioning needs 2-D image data")
+    angles = rotation_angles(K, data.train.input_shape)
     # cluster membership: random equal split of the pool across clusters
     clusters = [_Cluster(data, train, test, angle=angle) for (train, test), angle
-                in zip(_seeded_split(data, K, seed, 0xE2B), ROTATION_ORDER)]
+                in zip(_seeded_split(data, K, seed, 0xE2B), angles)]
     return _assemble(clusters, clients_per_cluster, seed)
 
 
@@ -269,16 +290,27 @@ def partition_concept_semantic(data: DatasetPair, rules: list[LabelRule],
                                clients_per_cluster: int, seed: int) -> list[ClientShard]:
     """E3a: each cluster sees the full input distribution but relabels it with
     its own semantic rule; all rules must share the output arity."""
-    arities = {r.arity for r in rules}
-    if len(arities) != 1:
-        raise ValueError(f"label rules disagree on output arity: {sorted(arities)}")
+    rule_arity(rules)
     clusters = [_Cluster(data, train, test, rule) for (train, test), rule
                 in zip(_seeded_split(data, len(rules), seed, 0xE3A), rules)]
     return _assemble(clusters, clients_per_cluster, seed)
 
 
+def check_derangements(class_count: int, count: int) -> None:
+    """Raise ValueError unless `count` (E3b's K - 1) pairwise-distinct
+    derangements of `class_count` classes exist: there are !C of them, by
+    !n = n * !(n - 1) + (-1)**n from !0 = 1."""
+    available = 1
+    for n in range(1, class_count + 1):
+        available = n * available + (-1) ** n
+    if not 0 <= count <= available:
+        raise ValueError(f"needs K - 1 in [0, {available}], the number of derangements "
+                         f"of {class_count} classes, got {count}")
+
+
 def sample_derangements(class_count: int, count: int, seed: int) -> list[LabelRule]:
     """Seeded pairwise-distinct derangements of {0..C-1} (no fixed points)."""
+    check_derangements(class_count, count)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xE3B]))
     rules: list[LabelRule] = []
     seen = set()
@@ -299,20 +331,22 @@ def partition_concept_permutation(data: DatasetPair, K: int, clients_per_cluster
                                   seed: int) -> list[ClientShard]:
     """E3b: cluster 0 keeps identity labels; clusters 1..K-1 apply seeded,
     pairwise-distinct derangements of the label set."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
     C = data.train.class_count
     rules = [identity_rule(C)] + sample_derangements(C, K - 1, seed)
     return partition_concept_semantic(data, rules, clients_per_cluster, seed)
 
 
+def check_same_space(a: tuple[int, tuple], b: tuple[int, tuple]) -> None:
+    """Raise ValueError unless E4a's datasets agree on (class count, input shape)."""
+    if (a[0], tuple(a[1])) != (b[0], tuple(b[1])):
+        raise ValueError(f"needs domain-shift datasets that share class_count and "
+                         f"input_shape, got {a} and {b}")
+
+
 def partition_domain_shift(data_a: DatasetPair, data_b: DatasetPair,
                            clients_per_cluster: int, seed: int) -> list[ClientShard]:
     """E4a: cluster 0 is dataset A, cluster 1 is dataset B; labels untouched."""
-    if data_a.train.class_count != data_b.train.class_count:
-        raise ValueError("domain-shift datasets must share class_count")
-    if tuple(data_a.train.input_shape) != tuple(data_b.train.input_shape):
-        raise ValueError("domain-shift datasets must share input_shape")
+    check_same_space(*((d.train.class_count, d.train.input_shape) for d in (data_a, data_b)))
     clusters = [_Cluster(d, np.arange(len(d.train)), np.arange(len(d.test)))
                 for d in (data_a, data_b)]
     return _assemble(clusters, clients_per_cluster, seed)
@@ -326,13 +360,7 @@ def partition_combined(data: DatasetPair, concept_rules: list[LabelRule],
     Cluster id is concept_index * C + covariate_index; both axes are also
     recorded separately on the shards for clustering diagnostics.
     """
-    if len(concept_rules) != 2:
-        raise ValueError("combined family takes exactly 2 concept rules")
-    if len(covariate_sets) < 2:
-        raise ValueError("combined family needs at least 2 covariate clusters")
-    arities = {r.arity for r in concept_rules}
-    if len(arities) != 1:
-        raise ValueError("concept rules disagree on output arity")
+    rule_arity(concept_rules, count=2)
     _check_disjoint(covariate_sets, "covariate sets overlap")
     C = len(covariate_sets)
     clusters = [_class_cluster(data, classes, rule)
@@ -350,43 +378,58 @@ def paired_covariate_sets(class_count: int, C: int) -> list[list[int]]:
     threshold concept rules stay non-constant inside every covariate cluster.
     """
     if class_count % 2:
-        raise ValueError("needs an even class count")
+        raise ValueError(f"needs an even class count, got {class_count}")
     pairs = [(d, class_count - 1 - d) for d in range(class_count // 2)]
     if not 2 <= C <= len(pairs):
-        raise ValueError(f"C must be in [2, {len(pairs)}]")
+        bound = ">= 2," if C < 2 else f"<= {len(pairs)}, half the class count,"
+        raise ValueError(f"needs covariate_clusters {bound} got {C}")
     return [sorted(v for p in chunk for v in p) for chunk in _contiguous_chunks(pairs, C)]
 
 
 class Family(NamedTuple):
     """The `HeterogeneitySpec` keys a family reads besides `clients_per_cluster`
-    and `sparsity`, `partition(data, clients_per_cluster, seed, **values)`
-    given their values (rule names; `dataset_b` as its loaded pair), and
-    `clusters(**values)`, the family's cluster count (K by default)."""
+    and `sparsity`; `partition(data, clients_per_cluster, seed, **values)`
+    given their values (rule names; `dataset_b` as its loaded pair);
+    `check(classes, shape, **values)`, which raises the ValueError the
+    partition would on data of that class count and input shape (as which
+    `dataset_b` comes too); and `clusters(**values)`, the cluster count."""
 
     keys: tuple[str, ...]
     partition: Callable[..., list[ClientShard]]
+    check: Callable[..., object]
     clusters: Callable[..., int] = lambda K, **_: K
 
 
-def _rules(names: list[str], data: DatasetPair) -> list[LabelRule]:
-    return [NAMED_RULES[name](data.train.class_count) for name in names]
+def _rules(names: list[str], class_count: int) -> list[LabelRule]:
+    return [NAMED_RULES[name](class_count) for name in names]
 
 
+# a check of two preconditions makes both calls in one tuple display
 FAMILIES = {
-    "E1": Family(("K",), lambda d, cpc, seed, K: partition_label_shift(d, K, cpc, seed)),
+    "E1": Family(("K",), lambda d, cpc, seed, K: partition_label_shift(d, K, cpc, seed),
+                 lambda classes, shape, K: class_blocks(classes, K)),
     "E2a": Family(("K", "superclass"), lambda d, cpc, seed, K, superclass:
-                  partition_covariate_subclass(d, *_rules([superclass], d),
-                                               class_blocks(d.train.class_count, K), cpc, seed)),
-    "E2b": Family(("K",), lambda d, cpc, seed, K: partition_covariate_rotation(d, K, cpc, seed)),
+                  partition_covariate_subclass(d, *_rules([superclass], d.train.class_count),
+                                               class_blocks(d.train.class_count, K), cpc, seed),
+                  lambda classes, shape, K, superclass: (
+                      class_blocks(classes, K), rule_arity(_rules([superclass], classes)))),
+    "E2b": Family(("K",), lambda d, cpc, seed, K: partition_covariate_rotation(d, K, cpc, seed),
+                  lambda classes, shape, K: rotation_angles(K, shape)),
     "E3a": Family(("rules",), lambda d, cpc, seed, rules:
-                  partition_concept_semantic(d, _rules(rules, d), cpc, seed),
+                  partition_concept_semantic(d, _rules(rules, d.train.class_count), cpc, seed),
+                  lambda classes, shape, rules: rule_arity(_rules(rules, classes)),
                   clusters=lambda rules: len(rules)),
-    "E3b": Family(("K",), lambda d, cpc, seed, K: partition_concept_permutation(d, K, cpc, seed)),
+    "E3b": Family(("K",), lambda d, cpc, seed, K: partition_concept_permutation(d, K, cpc, seed),
+                  lambda classes, shape, K: check_derangements(classes, K - 1)),
     "E4a": Family(("dataset_b",), lambda d, cpc, seed, dataset_b:
                   partition_domain_shift(d, dataset_b, cpc, seed),
+                  lambda classes, shape, dataset_b: check_same_space((classes, shape), dataset_b),
                   clusters=lambda dataset_b: 2),
     "E4b": Family(("rules", "covariate_clusters"), lambda d, cpc, seed, rules, covariate_clusters:
-                  partition_combined(d, _rules(rules, d), paired_covariate_sets(
+                  partition_combined(d, _rules(rules, d.train.class_count), paired_covariate_sets(
                       d.train.class_count, covariate_clusters), cpc, seed),
+                  lambda classes, shape, rules, covariate_clusters: (
+                      paired_covariate_sets(classes, covariate_clusters),
+                      rule_arity(_rules(rules, classes), count=2)),
                   clusters=lambda rules, covariate_clusters: 2 * covariate_clusters),
 }

@@ -80,6 +80,15 @@ class Architecture:
         return self.input_size
 
 
+def backbone(kind: str, input_shape: tuple[int, ...], class_count: int,
+             hidden_dim: int) -> Architecture:
+    """The unconditioned network of `kind` for data of `input_shape`: the mlp
+    reads the flattened rows, `mnist_cnn` one channel of the image.
+    ValueError when the kind cannot take such data."""
+    shape = (1, *input_shape) if kind == "mnist_cnn" else (math.prod(input_shape),)
+    return Architecture(kind, shape, class_count, hidden_dim)
+
+
 def mlp_architecture(input_size: int, class_count: int, hidden_dim: int = 128,
                      stats_dim: int = 0) -> Architecture:
     return Architecture("mlp", (input_size,), class_count, hidden_dim, stats_dim)

@@ -20,13 +20,15 @@ from hypothesis import strategies as st
 
 from fedcond.config import (STRATEGY_KINDS, ConfigError, DatasetSpec, ExperimentConfig,
                             StrategyConfig, SuiteConfig)
-from fedcond.data import (MNIST_FILES, glyph_pair, load_mnist_like,
+from fedcond.data import (MNIST_FILES, Dataset, glyph_pair, load_mnist_like,
                           subsample_per_class, write_idx)
-from fedcond.experiment import (StageError, build_partition, fingerprint_only,
+from fedcond.experiment import (StageError, build_architectures, build_partition,
+                                fingerprint_only,
                                 load_dataset_pair, reaggregate, run_experiment,
                                 run_suite)
 from fedcond.federation import child_seed
-from fedcond.heterogeneity import FAMILIES
+from fedcond.heterogeneity import FAMILIES, NAMED_RULES
+from fedcond.nn import ARCHITECTURE_KINDS
 from fedcond.report import (THREAD_ENV_VARS, RunReport, build_identifier, emit_report,
                             thread_env)
 
@@ -89,7 +91,7 @@ def test_missing_idx_files_rejected_at_validation(tmp_path):
 # The rules share their arity, 2, at any class count from 2 up.
 CHANGED_KEYS = {
     "E1": {"K": 3},
-    "E2a": {"K": 3, "superclass": "threshold5"},
+    "E2a": {"K": 3, "superclass": "antiparity"},
     "E2b": {"K": 4},
     "E3a": {"rules": ["antiparity", "parity"]},
     "E3b": {"K": 3},
@@ -112,8 +114,9 @@ def family_config(family, **keys):
     return tiny_config(heterogeneity=het)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("kind", sorted(DATASETS))
+@pytest.mark.parametrize("kind, family", [
+    (kind, family) for kind in sorted(DATASETS) for family in sorted(FAMILIES)
+    if (kind, family) != ("synthetic", "E2b")])  # flat data has nothing to rotate
 def test_config_round_trips_through_dict(tmp_path, family, kind):
     """Every family's and every dataset kind's `to_dict` echo, which lists
     the keys they do not read at their defaults, loads again."""
@@ -124,6 +127,8 @@ def test_config_round_trips_through_dict(tmp_path, family, kind):
     if (family, kind) == ("E4b", "synthetic"):  # 4 classes make at most 2 covariate clusters
         keys = dict(keys, covariate_clusters=2)
     doc = family_config(family, **keys).to_dict()
+    if family == "E4a":  # the second domain shares the first's classes and shape
+        doc["heterogeneity"]["dataset_b"] = dataset
     cfg = ExperimentConfig.from_dict(dict(doc, dataset=dataset))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
@@ -156,6 +161,46 @@ def test_client_count_is_the_partitions_shard_count(family, changed):
     assert len(shards) == cfg.heterogeneity.client_count()
 
 
+# small datasets of each generated kind, and a value strategy for every
+# heterogeneity key, from boundary values to ones a family rejects
+SMALL_DATASETS = [DATASETS["synthetic"], dict(TINY["dataset"], train_per_class=12, test_per_class=4),
+                  dict(TINY["dataset"], train_per_class=12, test_per_class=4, invert=True)]
+KEY_VALUES = {
+    "K": st.integers(1, 11),
+    "superclass": st.sampled_from(sorted(NAMED_RULES)),
+    "rules": st.lists(st.sampled_from(sorted(NAMED_RULES)), max_size=3),
+    "covariate_clusters": st.integers(0, 6),
+    "dataset_b": st.sampled_from(SMALL_DATASETS),
+}
+
+
+@st.composite
+def heterogeneity_documents(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    het = {"family": family, "clients_per_cluster": 1,
+           **{key: draw(KEY_VALUES[key]) for key in FAMILIES[family].keys}}
+    training = dict(TINY["training"], architecture=draw(st.sampled_from(ARCHITECTURE_KINDS)))
+    return dict(json.loads(json.dumps(TINY)), dataset=draw(st.sampled_from(SMALL_DATASETS)),
+                heterogeneity=het, training=training, strategies=["local"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=heterogeneity_documents())
+def test_heterogeneity_documents_are_rejected_at_load_or_partition(doc):
+    """Every family on every generated kind, with any values of the keys it
+    reads, is a ConfigError at load or cuts `client_count()` shards that its
+    backbone takes."""
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+    except ConfigError:
+        event("rejected")
+        return
+    event("partitioned")
+    shards = build_partition(cfg, load_dataset_pair(cfg.dataset, cfg.seed))
+    assert len(shards) == cfg.heterogeneity.client_count()
+    build_architectures(cfg, shards)
+
+
 def test_rule_arities_are_checked_with_the_idx_class_count(tmp_path):
     """For `idx` data the rules' arities follow from the class count in the
     train labels file; an unreadable labels file leaves the check to the
@@ -171,6 +216,30 @@ def test_rule_arities_are_checked_with_the_idx_class_count(tmp_path):
         ExperimentConfig.from_dict(doc)
     (tmp_path / MNIST_FILES[1]).write_bytes(b"")
     ExperimentConfig.from_dict(doc)
+
+
+def test_family_and_backbone_checks_read_the_idx_facts(tmp_path):
+    """For `idx` data the family and backbone checks read the class count
+    from the train labels and the image shape from the train images header:
+    nine 14x14 classes are an odd count for E4b and no input for mnist_cnn."""
+    source = glyph_pair(3, 2, seed=1)
+    for split, (images, labels) in zip((source.train, source.test),
+                                       (MNIST_FILES[:2], MNIST_FILES[2:])):
+        ds = split.dataset()
+        keep = ds.y < 9
+        small = Dataset(ds.X[keep].reshape(-1, 28, 28)[:, ::2, ::2].reshape(-1, 196),
+                        ds.y[keep], 9, (14, 14))
+        write_idx(small, tmp_path / images, tmp_path / labels)
+    doc = json.loads(json.dumps(TINY))
+    doc["dataset"] = {"kind": "idx", "name": "mnist", "root": str(tmp_path)}
+    doc["heterogeneity"] = {"family": "E4b", "rules": ["parity", "antiparity"]}
+    with pytest.raises(ConfigError, match="family E4b needs an even class count, got 9"):
+        ExperimentConfig.from_dict(doc)
+    doc["heterogeneity"] = {"family": "E2b", "K": 4}
+    ExperimentConfig.from_dict(doc)
+    doc["training"] = dict(doc["training"], architecture="mnist_cnn")
+    with pytest.raises(ConfigError, match=r"mnist_cnn expects input_shape \(1, 28, 28\)"):
+        ExperimentConfig.from_dict(doc)
 
 
 def test_sparsity_level_overrides_clients_per_cluster():
@@ -778,6 +847,18 @@ def test_cli_rejects_bad_config(tmp_path):
      "family E2a needs K <= the class count 4, got 5"),
     ({"heterogeneity": {"family": "E4b", "covariate_clusters": 20}},
      "family E4b needs covariate_clusters <= 5, half the class count, got 20"),
+    ({"dataset": {"kind": "synthetic"}, "heterogeneity": {"family": "E2b", "K": 2}},
+     "family E2b needs 2-D images to rotate, got input_shape (16,)"),
+    ({"heterogeneity": {"family": "E4a", "dataset_b": {"kind": "synthetic"}}},
+     "family E4a needs domain-shift datasets that share class_count and input_shape, "
+     "got (10, (28, 28)) and (4, (16,))"),
+    ({"dataset": {"kind": "synthetic"}, "heterogeneity": {"family": "E3b", "K": 30}},
+     "family E3b needs K - 1 in [0, 9], the number of derangements of 4 classes, got 29"),
+    ({"dataset": {"kind": "synthetic"},
+      "heterogeneity": {"family": "E3a", "rules": ["threshold5"]}},
+     "family E3a label rules ['threshold5'] map all 4 classes to one label"),
+    ({"dataset": {"kind": "synthetic"}, "training": {"architecture": "mnist_cnn"}},
+     "training: mnist_cnn expects input_shape (1, 28, 28)"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
         "ifca-rounds-ignored", "fedavg-k-ignored", "fedavg-lr-schedule",
@@ -792,7 +873,9 @@ def test_cli_rejects_bad_config(tmp_path):
         "E1-dataset-b", "glyphs-root", "synthetic-invert", "rules-str",
         "sparsity-with-clients-per-cluster", "dataset-b-glyphs-root", "gossip-one-client",
         "dac-one-client", "E3a-arity", "E4b-arity", "synthetic-E3a-arity", "E2b-K-5",
-        "E1-K-11", "synthetic-E2a-K-5", "E4b-covariate-clusters-20"])
+        "E1-K-11", "synthetic-E2a-K-5", "E4b-covariate-clusters-20", "synthetic-E2b",
+        "E4a-synthetic-dataset-b", "synthetic-E3b-K-30", "synthetic-E3a-threshold5",
+        "synthetic-mnist-cnn"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)
