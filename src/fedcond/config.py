@@ -16,8 +16,8 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
 
-from .data import (GLYPH_SHAPE, MNIST_FILES, GlyphSource, IdxError, idx_class_count,
-                   idx_image_shape)
+from .data import (GLYPH_SHAPE, MNIST_FILES, GlyphSource, IdxError, child_seed,
+                   idx_class_count, idx_image_shape)
 from .heterogeneity import FAMILIES, NAMED_RULES, SPARSITY_LEVELS
 from .nn import ARCHITECTURE_KINDS, backbone
 
@@ -75,12 +75,19 @@ def bounded(default, low, high=None, strict=False):
         lambda v: (v > low if strict else v >= low) and (high is None or v < high), text)})
 
 
+def one_of(default, values):
+    """A dataclass field whose value must be one of `values` (a dict: one of
+    its keys); `check_field_types` checks it as it checks a `bounded` range."""
+    return field(default=default, metadata={"bound": (lambda v: v in values,
+                                                      f"one of {list(values)}")})
+
+
 def check_field_types(obj, where: str = "") -> None:
     """Raise ConfigError for a scalar dataclass field whose value does not
     have its declared type (`int`, `float`, `bool` or `str`, optionally
     `| None`; annotations are strings under `from __future__ import
-    annotations`) or lies outside its `bounded` range. Other fields are left
-    to the owner's checks."""
+    annotations`) or fails its `bounded` range or `one_of` set. Other fields
+    are left to the owner's checks."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         optional = f.type.endswith(" | None")
@@ -88,7 +95,7 @@ def check_field_types(obj, where: str = "") -> None:
             continue
         checks = (_SCALAR_TYPES.get(f.type.removesuffix(" | None"), (None, None)),
                   f.metadata.get("bound", (None, None)))
-        for accepts, description in checks:  # the type first: the bound compares
+        for accepts, description in checks:  # the type first: a bound compares or hashes
             if accepts is not None and not accepts(value):
                 raise ConfigError(f"{where}{f.name} must be {description}"
                                   f"{' or null' if optional else ''}, got {value!r}")
@@ -96,7 +103,7 @@ def check_field_types(obj, where: str = "") -> None:
 
 @dataclass
 class DatasetSpec:
-    kind: str = "glyphs"
+    kind: str = one_of("glyphs", DATASET_KEYS)
     name: str = "glyphs"
     root: str | None = None          # idx: directory with the four MNIST-style files
     per_class_cap: int | None = bounded(1000, 1)
@@ -112,8 +119,6 @@ class DatasetSpec:
         return Path(root)
 
     def validate(self):
-        if self.kind not in DATASET_KEYS:
-            raise ConfigError(f"unknown dataset kind {self.kind!r}")
         check_unread_keys(self, ("kind", "name", "per_class_cap", *DATASET_KEYS[self.kind]),
                           f"dataset kind {self.kind!r}")
         if self.kind == "idx":
@@ -124,24 +129,30 @@ class DatasetSpec:
 
     def facts(self) -> tuple[int, tuple[int, ...]] | None:
         """(class count, input shape) of the pair this spec loads: fixed for a
-        generated kind; for `idx`, from the train labels and the train images
-        header, or None for a file that cannot be read (the dataset stage fails)."""
+        generated kind; for `idx`, from the labels files and the images
+        headers, which must agree between train and test (else ConfigError),
+        or None for a file that cannot be read (the dataset stage fails)."""
         if self.kind != "idx":
             return GENERATED_FACTS[self.kind]
         root = self.resolved_root()
         try:
-            return (idx_class_count(root / MNIST_FILES[1]),
-                    idx_image_shape(root / MNIST_FILES[0]))
+            counts = [idx_class_count(root / MNIST_FILES[i]) for i in (1, 3)]
+            shapes = [idx_image_shape(root / MNIST_FILES[i]) for i in (0, 2)]
         except IdxError:
             return None
+        for what, (train, test) in (("class count", counts), ("image shape", shapes)):
+            if train != test:
+                raise ConfigError(f"idx files under {str(root)!r} disagree on the {what}: "
+                                  f"train {train}, test {test}")
+        return counts[0], shapes[0]
 
 
 @dataclass
 class HeterogeneitySpec:
-    family: str = "E1"
+    family: str = one_of("E1", FAMILIES)
     K: int = bounded(2, 1)
     clients_per_cluster: int = bounded(5, 1)
-    sparsity: str | None = None           # named level; replaces clients_per_cluster
+    sparsity: str | None = one_of(None, SPARSITY_LEVELS)  # replaces clients_per_cluster
     # the keys below are read only by the families that `FAMILIES` lists them for
     superclass: str = "parity"
     rules: list[str] = field(default_factory=lambda: ["parity", "threshold5"])
@@ -149,8 +160,6 @@ class HeterogeneitySpec:
     dataset_b: DatasetSpec | None = None
 
     def validate(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}")
         # a sparsity level sets the client count, so clients_per_cluster goes unread
         level = "" if self.sparsity is None else f" with sparsity {self.sparsity!r}"
         check_unread_keys(self, ("family", "sparsity" if level else "clients_per_cluster",
@@ -162,9 +171,6 @@ class HeterogeneitySpec:
             if not isinstance(rule, str) or rule not in NAMED_RULES:
                 raise ConfigError(f"heterogeneity: unknown label rule {rule!r}; "
                                   f"known: {sorted(NAMED_RULES)}")
-        if self.sparsity is not None and self.sparsity not in SPARSITY_LEVELS:
-            raise ConfigError(f"unknown sparsity level {self.sparsity!r}; "
-                              f"known: {sorted(SPARSITY_LEVELS)}")
         if "dataset_b" in FAMILIES[self.family].keys:
             if self.dataset_b is None:
                 raise ConfigError(f"family {self.family} needs heterogeneity.dataset_b")
@@ -194,19 +200,13 @@ class StatsSpec:
 
 @dataclass
 class TrainingSpec:
-    architecture: str = "mlp"  # mlp | mnist_cnn
+    architecture: str = one_of("mlp", ARCHITECTURE_KINDS)
     hidden_dim: int = bounded(128, 1)
     learning_rate: float = bounded(0.01, 0, strict=True)
     momentum: float = bounded(0.9, 0, 1)
     batch_size: int = bounded(64, 1)
     epochs: int = bounded(10, 1)
-    lr_schedule: str = "constant"  # constant | cosine; applies to all strategies
-
-    def validate(self):
-        if self.architecture not in ARCHITECTURE_KINDS:
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
+    lr_schedule: str = one_of("constant", LR_SCHEDULES)  # applies to all strategies
 
 
 class StrategyKind(NamedTuple):
@@ -249,15 +249,13 @@ class StrategyConfig:
     ditto_lambda: float = bounded(1.0, 0)
     gossip_pairs_per_round: int | None = bounded(None, 0)  # None = full random matching
     dac_temperature: float = bounded(0.1, 0, strict=True)
-    lr_schedule: str = "constant"  # constant | cosine (decay to 5% over the run)
+    lr_schedule: str = one_of("constant", LR_SCHEDULES)  # cosine decays to 5% over the run
 
     def __post_init__(self):
         where = f"strategy {self.kind!r}: "
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"{where}unknown strategy kind {self.kind!r}")
         check_field_types(self, where)
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ConfigError(f"{where}unknown lr_schedule {self.lr_schedule!r}")
 
     @property
     def schedule(self) -> tuple[int, int]:
@@ -323,7 +321,6 @@ class ExperimentConfig:
         self.dataset.validate()
         het = self.heterogeneity
         het.validate()
-        self.training.validate()
         # the family's and the backbone's preconditions on the data's (class
         # count, input shape), or at the dataset stage for an unreadable idx
         # file; the backbone takes the data's count, as a relabeling family
@@ -403,13 +400,14 @@ class SuiteConfig:
 
     Grid keys are dotted config paths (e.g. "heterogeneity.K"). A run takes
     the `seed` the grid sets, else a distinct child seed derived from
-    (seed, run_index).
+    (seed, run_index). `runs` holds each grid point's validated config.
     """
 
     name: str
     seed: int = bounded(MISSING, 0)
     base: dict
     grid: dict[str, list]
+    runs: list[ExperimentConfig] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         check_field_types(self, "suite ")
@@ -429,9 +427,13 @@ class SuiteConfig:
         if repeated:
             raise ConfigError(f"suite grid repeats run {repeated[0]!r}; every grid "
                               f"point needs its own run name and directory")
+        if "seed" not in self.grid:  # the points run at child seeds; the base's is unused
+            check_field_types(ExperimentConfig(seed=self.base.get("seed", 0)), "suite base ")
+            for i, doc in enumerate(docs):
+                doc["seed"] = child_seed(self.seed, i)
         for doc in docs:
             try:
-                ExperimentConfig.from_dict(doc)
+                self.runs.append(ExperimentConfig.from_dict(doc))
             except ConfigError as exc:
                 raise ConfigError(f"suite run {doc['name']!r}: {exc}") from None
 

@@ -4,8 +4,9 @@ Covers IDX-format image/label files (MNIST, Fashion-MNIST), a seeded
 Gaussian-cluster generator for fast synthetic tests, and a seeded procedural
 glyph-digit generator (28x28, 10 classes) used as a desk-scale stand-in when
 the real IDX files are not available locally, whose splits draw only the
-rows a partition asks for. Pixels are always scaled to [0, 1] by dividing by
-255; no mean/std standardization is applied.
+rows a partition asks for. Every kind's rows lie in [0, 1]: IDX pixels are
+divided by 255, while glyph and synthetic rows are generated in [0, 1]
+(clipped) and never divided. No mean/std standardization is applied.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+
+def child_seed(*keys: int) -> int:
+    """Deterministic 64-bit child seed from a tuple of integer keys."""
+    return int(np.random.SeedSequence([int(k) for k in keys])
+               .generate_state(1, dtype=np.uint64)[0])
 
 
 class IdxError(ValueError):

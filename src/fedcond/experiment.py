@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (GENERATED_FACTS, ConfigError, DatasetSpec, ExperimentConfig,
-                     StrategyConfig, SuiteConfig, strategy_config)
-from .data import (Dataset, DatasetPair, GaussianClusterSpec, glyph_pair,
+from .config import (GENERATED_FACTS, DatasetSpec, ExperimentConfig, StrategyConfig,
+                     SuiteConfig, strategy_config)
+from .data import (Dataset, DatasetPair, GaussianClusterSpec, child_seed, glyph_pair,
                    load_mnist_like, subsample_per_class, synth_clusters)
-from .federation import (OptimizerState, TrainedOutcome, child_seed, evaluate,
-                         run_strategy)
+from .federation import OptimizerState, TrainedOutcome, evaluate, run_strategy
 from .heterogeneity import FAMILIES, ClientShard
 from .metrics import compute_ari
 from .nn import Architecture, backbone
@@ -70,10 +69,8 @@ def load_dataset_pair(spec: DatasetSpec, seed: int) -> DatasetPair:
     if spec.kind == "glyphs":
         pair = glyph_pair(spec.train_per_class, spec.test_per_class,
                           child_seed(seed, 0xDA7A), invert=spec.invert)
-    elif spec.kind == "synthetic":
+    else:  # synthetic; the config's `kind` is one of `DATASET_KEYS`
         pair = _synthetic_blob_pair(spec, seed)
-    else:
-        raise ConfigError(f"unknown dataset kind {spec.kind!r}")
     if spec.per_class_cap is not None:
         pair = DatasetPair(
             train=subsample_per_class(pair.train, spec.per_class_cap, cap_seeds[0]),
@@ -228,31 +225,27 @@ def fingerprint_only(config: ExperimentConfig, out_dir=None) -> Path:
 # --------------------------------------------------------------------------
 
 def run_suite(suite: SuiteConfig, out_root, threads: int = 1) -> dict:
-    """Run every grid point in its own output directory, at the `seed` its
-    grid sets, else at the child seed of its index.
+    """Run every grid point (`suite.runs`, each at its own seed) in its own
+    output directory.
 
     Individual failures are recorded and do not abort the suite; the returned
     summary lists per-run status.
     """
     out_root = Path(out_root)
-    runs = list(enumerate(suite.expand()))
-    if "seed" not in suite.grid:
-        for i, doc in runs:
-            doc["seed"] = child_seed(suite.seed, i)
+    runs = list(enumerate(suite.runs))
 
     def one(item):
-        i, doc = item
-        run_dir = out_root / "runs" / doc["name"]
+        i, cfg = item
+        run_dir = out_root / "runs" / cfg.name
         try:
-            cfg = ExperimentConfig.from_dict(doc)
             report = run_experiment(cfg, out_dir=run_dir)
-            return {"index": i, "run_id": doc["name"], "seed": doc["seed"],
+            return {"index": i, "run_id": cfg.name, "seed": cfg.seed,
                     "status": "ok", "dir": str(run_dir),
                     "report": str(run_dir / "report.json"),
                     "mean_accuracy": {r.strategy: r.mean_accuracy
                                       for r in report.results}}
         except Exception as exc:
-            return {"index": i, "run_id": doc["name"], "seed": doc["seed"],
+            return {"index": i, "run_id": cfg.name, "seed": cfg.seed,
                     "status": "error", "dir": str(run_dir), "error": str(exc)}
 
     if threads > 1:

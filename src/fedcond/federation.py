@@ -19,18 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import STRATEGIES, StrategyConfig
-from .data import Dataset
+from .data import Dataset, child_seed
 from .heterogeneity import ClientShard
 from .nn import (Architecture, Fold, ModelParams, OptimizerState, forward,
                  init_params, mean_cross_entropy, train_sgd)
 
 log = logging.getLogger(__name__)
-
-
-def child_seed(*keys: int) -> int:
-    """Deterministic 64-bit child seed from a tuple of integer keys."""
-    return int(np.random.SeedSequence([int(k) for k in keys])
-               .generate_state(1, dtype=np.uint64)[0])
 
 
 LR_FLOOR = 0.05

@@ -114,10 +114,12 @@ NAMED_RULES = {
 
 
 def rule_arity(rules: list[LabelRule], count: int | None = None) -> int:
-    """The output arity that `rules` share: ValueError unless they are
-    `count` (if given) and agree on an arity of at least 2."""
+    """The output arity that `rules` share: ValueError unless there are
+    `count` of them (if given), at least one, agreeing on an arity >= 2."""
     if count is not None and len(rules) != count:
         raise ValueError(f"needs exactly {count} concept rules, got {len(rules)}")
+    if not rules:
+        raise ValueError("needs at least one label rule")
     arities = sorted({r.arity for r in rules})
     if len(arities) != 1:
         raise ValueError(f"label rules disagree on output arity: {arities}")

@@ -18,7 +18,8 @@ from pathlib import Path
 from .config import ConfigError, read_json
 
 PROVENANCE = {
-    "pixel_scaling": "x/255 into [0,1], no standardization",
+    "pixel_scaling": "idx: x/255 into [0,1]; glyphs, synthetic: generated in [0,1], "
+                     "not divided; no standardization",
     "pca_centering": "column mean",
     "pca_covariance_divisor": "n-1",
     "pca_solver": "eigvalsh of the n×n Gram matrix when n<d, else of the d×d covariance",

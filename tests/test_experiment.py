@@ -18,6 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from fedcond import experiment
 from fedcond.config import (STRATEGY_KINDS, ConfigError, DatasetSpec, ExperimentConfig,
                             StrategyConfig, SuiteConfig)
 from fedcond.data import (MNIST_FILES, Dataset, glyph_pair, load_mnist_like,
@@ -633,6 +634,28 @@ def test_suite_of_one_matches_run_experiment(tmp_path):
         r.strategy: r.mean_accuracy for r in direct.results}
 
 
+def test_suite_runs_the_configs_it_validated(tmp_path, monkeypatch):
+    """`SuiteConfig` builds each grid point once, at its child seed, and
+    `run_suite` runs those configs without parsing any document again."""
+    doc = suite_doc({"heterogeneity.K": [2, 3]})
+    suite = SuiteConfig(name=doc["name"], seed=doc["seed"], base=doc["base"],
+                        grid=doc["grid"])
+    assert [(c.name, c.seed, c.heterogeneity.K) for c in suite.runs] == [
+        ("s_K=2", child_seed(5, 0), 2), ("s_K=3", child_seed(5, 1), 3)]
+    ran = []
+
+    def record(cfg, out_dir):
+        ran.append(cfg)
+        raise RuntimeError("not trained")
+
+    monkeypatch.setattr(experiment, "run_experiment", record)
+    monkeypatch.setattr(ExperimentConfig, "from_dict", None)
+    summary = run_suite(suite, out_root=tmp_path)
+    assert len(ran) == 2 and all(a is b for a, b in zip(ran, suite.runs))
+    assert [(s["run_id"], s["seed"], s["error"]) for s in summary["runs"]] == [
+        (c.name, c.seed, "not trained") for c in suite.runs]
+
+
 def test_suite_runs_the_seed_its_grid_sets(tmp_path):
     doc = suite_doc({"seed": [7]})
     suite = SuiteConfig(name=doc["name"], seed=doc["seed"], base=doc["base"],
@@ -859,6 +882,23 @@ def test_cli_rejects_bad_config(tmp_path):
      "family E3a label rules ['threshold5'] map all 4 classes to one label"),
     ({"dataset": {"kind": "synthetic"}, "training": {"architecture": "mnist_cnn"}},
      "training: mnist_cnn expects input_shape (1, 28, 28)"),
+    ({"heterogeneity": {"family": "E3a", "rules": []}},
+     "family E3a needs at least one label rule"),
+    ({"training": {"architecture": "resnet"}},
+     "training.architecture must be one of ['mlp', 'mnist_cnn'], got 'resnet'"),
+    ({"training": {"lr_schedule": "step"}},
+     "training.lr_schedule must be one of ['constant', 'cosine'], got 'step'"),
+    ({"dataset": {"kind": "png"}},
+     "dataset.kind must be one of ['idx', 'glyphs', 'synthetic'], got 'png'"),
+    ({"heterogeneity": {"family": "E4a", "dataset_b": {"kind": "png"}}},
+     "heterogeneity.dataset_b.kind must be one of ['idx', 'glyphs', 'synthetic'], "
+     "got 'png'"),
+    ({"heterogeneity": {"family": "E5"}},
+     "heterogeneity.family must be one of ['E1', 'E2a', 'E2b', 'E3a', 'E3b', 'E4a', "
+     "'E4b'], got 'E5'"),
+    ({"heterogeneity": {"family": "E1", "sparsity": "Dense"}},
+     "heterogeneity.sparsity must be one of ['Rich', 'Medium', 'Sparse', 'VerySparse', "
+     "'SuperSparse'] or null, got 'Dense'"),
 ], ids=["local-epochs-0", "ifca-refinement-0", "unknown-strategy-key",
         "ditto-local-epochs-0", "fedavg-epochs-ignored", "local-rounds-ignored",
         "ifca-rounds-ignored", "fedavg-k-ignored", "fedavg-lr-schedule",
@@ -875,7 +915,9 @@ def test_cli_rejects_bad_config(tmp_path):
         "dac-one-client", "E3a-arity", "E4b-arity", "synthetic-E3a-arity", "E2b-K-5",
         "E1-K-11", "synthetic-E2a-K-5", "E4b-covariate-clusters-20", "synthetic-E2b",
         "E4a-synthetic-dataset-b", "synthetic-E3b-K-30", "synthetic-E3a-threshold5",
-        "synthetic-mnist-cnn"])
+        "synthetic-mnist-cnn", "E3a-no-rules", "architecture-unknown",
+        "lr-schedule-unknown", "dataset-kind-unknown", "dataset-b-kind-unknown",
+        "family-unknown", "sparsity-unknown"])
 def test_cli_rejects_bad_override_before_training(tmp_path, override, message):
     doc = json.loads(json.dumps(TINY))
     doc.update(override)
@@ -938,6 +980,38 @@ def test_cli_rejects_a_config_file_that_is_not_json(tmp_path, command, text):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+@pytest.mark.parametrize("what, message", [
+    ("class count", "disagree on the class count: train 9, test 10"),
+    ("image shape", "disagree on the image shape: train (28, 28), test (14, 14)"),
+])
+def test_cli_rejects_idx_splits_that_disagree(tmp_path, what, message):
+    """Train labels of classes 0-8 beside test labels of 0-9, or 28x28 train
+    images beside 14x14 test images, are rejected at load: both files are read
+    for the facts the checks use, and the message names both values."""
+    root = tmp_path / "idx"
+    root.mkdir()
+    source = glyph_pair(3, 2, seed=1)
+    for split, (images, labels) in zip((source.train, source.test),
+                                       (MNIST_FILES[:2], MNIST_FILES[2:])):
+        ds = split.dataset()
+        if split is source.train and what == "class count":
+            keep = ds.y < 9
+            ds = Dataset(ds.X[keep], ds.y[keep], 9, ds.input_shape)
+        if split is source.test and what == "image shape":
+            ds = Dataset(ds.X.reshape(-1, 28, 28)[:, ::2, ::2].reshape(-1, 196), ds.y,
+                         ds.class_count, (14, 14))
+        write_idx(ds, root / images, root / labels)
+    doc = dict(json.loads(json.dumps(TINY)),
+               dataset={"kind": "idx", "name": "mnist", "root": str(root)})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    r = run_cli("run", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert f"idx files under {str(root)!r} {message}" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "idx"]
+
+
 def test_cli_suite_exit_code_reflects_failures(tmp_path):
     doc = failing_suite_doc(["Rich", "SuperSparse"])
     path = tmp_path / "suite.json"
@@ -958,6 +1032,7 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
     ({"seed": True}, "seed must be an integer, got True"),
     ({"seed": -3}, "suite seed must be >= 0, got -3"),
     ({"grid": {"seed": [-1]}}, "suite run 's_seed=-1': seed must be >= 0, got -1"),
+    ({"base": dict(TINY, seed=-1)}, "suite base seed must be >= 0, got -1"),
     ({"base": [1]}, "suite base must be an object, got [1]"),
     (5, "a suite config must be a JSON object"),
     ({"grid": {"heterogeneity.K": [], "training.epochs": [1]}},
@@ -977,7 +1052,7 @@ def test_cli_suite_exit_code_reflects_failures(tmp_path):
       "grid": {"heterogeneity.K": [2, 3]}},
      "suite run 's_K=3': family 'E3a' does not read keys: ['K']"),
 ], ids=["grid-scalar", "grid-list", "grid-string", "seed-str", "seed-bool",
-        "seed-negative", "grid-seed-negative", "base-list", "document-number", "grid-empty-list", "grid-repeated-value",
+        "seed-negative", "grid-seed-negative", "base-seed-negative", "base-list", "document-number", "grid-empty-list", "grid-repeated-value",
         "grid-same-label", "grid-path-through-number",
         "grid-path-through-nested-number", "grid-key-names-no-field",
         "grid-key-family-does-not-read"])
